@@ -144,7 +144,7 @@ let modelcheck_cmd =
              let b = Buffer.create 256 in
              Buffer.add_string b ("violation: " ^ w.Explore.message ^ "\n");
              Buffer.add_string b
-               (Printf.sprintf "  kind: %s\n" (Explore.kind_name w.Explore.kind));
+               (Printf.sprintf "  kind: %s\n" w.Explore.kind);
              let orig = List.length f.Explore.original.Explore.schedule in
              let now = List.length w.Explore.schedule in
              Buffer.add_string b
@@ -221,11 +221,10 @@ let modelcheck_cmd =
   in
   let observe_arg =
     let doc =
-      "Check these observers instead of the built-in agreement/validity/termination \
-       checks: agreement, validity, solo-termination, lockout, maxreg-monotonic, \
-       recoverable-agreement, recoverable-validity, or `default' (the first three).  \
-       Observers marked unsafe under the chosen --reduce refuse to run unless --force \
-       is given."
+      "The observers to check: agreement, validity, solo-termination, lockout, \
+       maxreg-monotonic, recoverable-agreement, recoverable-validity, or `default' \
+       (the first three).  Empty (the default) checks `default'.  Observers marked \
+       unsafe under the chosen --reduce refuse to run unless --force is given."
     in
     Arg.(value & opt (list string) [] & info [ "observe" ] ~docv:"OBS1,…" ~doc)
   in
@@ -842,9 +841,9 @@ let campaign_cmd =
   let observe_arg =
     let doc =
       "Observer names applied to every check task (see `modelcheck --observe'); \
-       empty (the default) keeps the legacy built-in checks.  The observer set is \
-       part of each task's fingerprint, so observed and unobserved sweeps coexist \
-       in one store."
+       empty (the default) checks `default'.  A non-empty observer set is part of \
+       each task's fingerprint, so sweeps with different sets coexist in one \
+       store."
     in
     Arg.(value & opt (some (list string)) None & info [ "observe" ] ~docv:"OBS1,…" ~doc)
   in

@@ -12,7 +12,7 @@ let () =
   (* 1. Exhaustive verification: every schedule of 2-process max-register
      consensus to depth 12, probing obstruction-freedom everywhere. *)
   (match
-     Modelcheck.explore ~probe:`Everywhere Consensus.Maxreg_protocol.protocol
+     Explore.run ~probe:`Everywhere Consensus.Maxreg_protocol.protocol
        ~inputs:[| 0; 1 |] ~depth:12
    with
    | Explore.Completed s ->
@@ -21,7 +21,7 @@ let () =
        s.configs s.probes
    | Explore.Timed_out _ -> print_endline "?! unbounded run timed out"
    | Explore.Falsified f ->
-     Printf.printf "unexpected violation: %s\n" (Modelcheck.failure_message f));
+     Printf.printf "unexpected violation: %s\n" (Explore.failure_message f));
 
   (* 2. Plant a bug: racing counters deciding at a lead of 1 instead of n.
      The checker produces the interleaving that breaks agreement. *)
@@ -38,12 +38,12 @@ let () =
           ~n ~input
     end)
   in
-  (match Modelcheck.explore ~probe:`Everywhere buggy ~inputs:[| 0; 1 |] ~depth:12 with
+  (match Explore.run ~probe:`Everywhere buggy ~inputs:[| 0; 1 |] ~depth:12 with
    | Explore.Completed _ | Explore.Timed_out _ -> print_endline "?! the bug survived"
    | Explore.Falsified f ->
      (* The failure carries a replayable witness, already shrunk to a minimal
         interleaving by delta debugging. *)
-     Printf.printf "planted bug caught: %s\n" (Modelcheck.failure_message f);
+     Printf.printf "planted bug caught: %s\n" (Explore.failure_message f);
      Format.printf "  minimal interleaving: @[%a@]@." Explore.pp_witness
        f.Explore.witness;
      Printf.printf "  (shrunk from %d scheduled steps, replay reproduces: %b)\n"

@@ -181,7 +181,7 @@ let run t =
        of_stats
          (Record.Violation
             {
-              kind = Explore.kind_name w.kind;
+              kind = w.kind;
               message = w.message;
               schedule = w.schedule;
               probe = w.probe;

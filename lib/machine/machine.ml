@@ -199,8 +199,8 @@ module Make (I : Iset.S) = struct
      checker's dedup silently misses them.
 
      The maintained digest reads off in O(1); [slow_fingerprint] recomputes
-     the original fold from scratch and is kept for differential testing
-     (the [SPACE_HIERARCHY_FP=fold] debug path in [Explore]). *)
+     the original fold from scratch and is kept as the reference the tests
+     compare the partition against. *)
   let fingerprint_words cfg =
     (cfg.mem_a + cfg.hist_a + cfg.epoch_a, cfg.mem_b + cfg.hist_b + cfg.epoch_b)
 

@@ -114,8 +114,7 @@ module Make (I : Iset.S) : sig
   (** The original from-scratch fingerprint fold (O(mem + n) per call).
       Its {e value} differs from {!fingerprint} — only the induced
       partition of configurations matters — and it is retained purely as
-      the differential-testing reference for the incremental digest (the
-      [SPACE_HIERARCHY_FP=fold] debug path in [Explore]). *)
+      the differential-testing reference for the incremental digest. *)
 
   val canonical_fingerprint : inputs:int array -> 'a config -> int
   (** Like {!fingerprint}, but quotiented by process symmetry: each process

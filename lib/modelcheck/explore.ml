@@ -1,4 +1,4 @@
-(* The exploration engines behind [Modelcheck.explore].
+(* The exploration engines of the model checker.
 
    Three engines share one DFS core:
    - [`Naive] is the original depth-first walk of every schedule.
@@ -16,10 +16,10 @@
      another, which is what domain-local tables used to do.
 
    Fingerprints are read off the machine's incrementally maintained
-   two-lane digest (O(1) per configuration).  Setting the environment
-   variable [SPACE_HIERARCHY_FP=fold] (or passing [~fingerprint_mode:`Fold])
-   switches every engine to the original from-scratch fingerprint fold —
-   the debug path the differential tests compare against.
+   two-lane digest (O(1) per configuration).
+
+   The property checked is a set of observers ([Observer]); no observers
+   means [Observer.defaults], obstruction-free consensus.
 
    Every engine threads the schedule — the list of pids stepped from the
    root, plus the pid of the solo probe that exposed the violation, if any —
@@ -69,14 +69,6 @@
 
 type engine = [ `Naive | `Memo | `Parallel of int ]
 type probe_policy = [ `Leaves | `Everywhere | `Never ]
-type fingerprint_mode = [ `Flat | `Fold ]
-
-(* The debug escape hatch: [SPACE_HIERARCHY_FP=fold] forces every engine
-   onto the original from-scratch fingerprint fold, read once at load. *)
-let default_fingerprint_mode : fingerprint_mode =
-  match Sys.getenv_opt "SPACE_HIERARCHY_FP" with
-  | Some ("fold" | "FOLD" | "slow") -> `Fold
-  | _ -> `Flat
 
 type reduction = { commute : bool; symmetric : bool }
 
@@ -137,29 +129,10 @@ let certify_gate ~reduce ~force ~notify (module P : Consensus.Proto.S) ~inputs ~
       raise (Uncertified_symmetry { protocol = P.name; verdict })
   end
 
-type violation_kind =
-  [ `Agreement | `Validity | `Obstruction_freedom | `Termination | `Observer of string ]
-
-let kind_name = function
-  | `Agreement -> "agreement"
-  | `Validity -> "validity"
-  | `Obstruction_freedom -> "obstruction-freedom"
-  | `Termination -> "termination"
-  | `Observer s -> s
-
-(* Observer verdict kinds name witnesses; the legacy names map back onto the
-   legacy constructors so the observer-driven agreement/validity/probe checks
-   report kinds indistinguishable from the hard-coded path (the differential
-   tests compare them directly). *)
-let kind_of_name : string -> violation_kind = function
-  | "agreement" -> `Agreement
-  | "validity" -> `Validity
-  | "obstruction-freedom" -> `Obstruction_freedom
-  | "termination" -> `Termination
-  | s -> `Observer s
+let kind_name (kind : string) = kind
 
 type witness = {
-  kind : violation_kind;
+  kind : string;
   message : string;
   schedule : int list;
   probe : int option;
@@ -219,24 +192,9 @@ type 'a verdict =
 
 exception Violation of witness
 
-(* Internal: a property check failed; the engine in whose context it fired
-   attaches the schedule and re-raises [Violation]. *)
-exception Check of violation_kind * string
-
-let checkf kind fmt = Format.kasprintf (fun s -> raise (Check (kind, s))) fmt
-
-let check_decisions ~inputs decisions =
-  match decisions with
-  | [] -> ()
-  | (_, first) :: _ ->
-    List.iter
-      (fun (pid, v) ->
-        if v <> first then
-          checkf `Agreement "agreement: process %d decided %d but %d was also decided" pid v
-            first)
-      decisions;
-    if not (Array.exists (fun i -> i = first) inputs) then
-      checkf `Validity "validity: %d decided but never proposed" first
+(* The observer set a run checks: none given means obstruction-free
+   consensus. *)
+let observers_or_defaults = function [] -> Observer.defaults | set -> set
 
 (* Mutable per-run counters, shared by all engines (each parallel worker
    gets its own and they are merged at the end). *)
@@ -279,100 +237,22 @@ module Run (P : Consensus.Proto.S) = struct
   let witness_of ~path ~probe (kind, message) =
     { kind; message; schedule = List.rev path; probe }
 
-  let check ~inputs ~path cfg =
-    match check_decisions ~inputs (M.decisions cfg) with
-    | () -> ()
-    | exception Check (k, m) -> raise (Violation (witness_of ~path ~probe:None (k, m)))
-
-  (* One solo probe from [cfg]: run [pid] solo (it must decide —
-     obstruction-freedom), then every other running process solo {e once
-     each} — a non-deciding straggler must surface as a termination
-     violation, not retry the same pid forever — and check the complete
-     decision set.  Returns the final configuration and the violation the
-     probe ran into, if any. *)
-  let probe_steps ~solo_fuel ~inputs cfg pid =
-    let cfg, dec = M.run_solo ~fuel:solo_fuel ~pid cfg in
-    match dec with
-    | None ->
-      ( cfg,
-        Some
-          ( `Obstruction_freedom,
-            Printf.sprintf
-              "obstruction-freedom: process %d did not decide solo within %d steps" pid
-              solo_fuel ) )
-    | Some _ ->
-      let cfg =
-        List.fold_left
-          (fun cfg q -> fst (M.run_solo ~fuel:solo_fuel ~pid:q cfg))
-          cfg (M.running cfg)
-      in
-      (match M.running cfg with
-       | q :: _ ->
-         ( cfg,
-           Some
-             ( `Termination,
-               Printf.sprintf "termination: process %d still undecided after solo runs" q
-             ) )
-       | [] ->
-         (match check_decisions ~inputs (M.decisions cfg) with
-          | () -> (cfg, None)
-          | exception Check (k, m) -> (cfg, Some (k, m))))
-
-  (* The same decision logic as [probe_steps], on a mutable scratch copy
-     ([M.Scratch]) instead of the persistent machine.  Probe steps are the
-     model checker's hot loop — every leaf probes every running process, and
-     each probe chains full solo runs — but none of their intermediate
-     configurations is fingerprinted or branched from, so the in-place
-     workspace does the same stepping several times faster.  [probe_steps]
-     stays as the persistent reference: [replay] uses it (witness replays
-     want the event trace) and the differential tests pin the two paths to
-     identical violations. *)
-  let probe_violation ~solo_fuel ~inputs cfg pid =
-    let s = M.Scratch.of_config cfg in
-    match M.Scratch.run_solo ~fuel:solo_fuel ~pid s with
-    | None ->
-      Some
-        ( `Obstruction_freedom,
-          Printf.sprintf
-            "obstruction-freedom: process %d did not decide solo within %d steps" pid
-            solo_fuel )
-    | Some _ ->
-      List.iter
-        (fun q -> ignore (M.Scratch.run_solo ~fuel:solo_fuel ~pid:q s))
-        (M.Scratch.running s);
-      (match M.Scratch.running s with
-       | q :: _ ->
-         Some
-           ( `Termination,
-             Printf.sprintf "termination: process %d still undecided after solo runs" q )
-       | [] ->
-         (match check_decisions ~inputs (M.Scratch.decisions s) with
-          | () -> None
-          | exception Check (k, m) -> Some (k, m)))
-
-  let probe_one ~solo_fuel ~inputs ~path c cfg pid =
-    c.probes <- c.probes + 1;
-    match probe_violation ~solo_fuel ~inputs cfg pid with
-    | None -> ()
-    | Some v -> raise (Violation (witness_of ~path ~probe:(Some pid) v))
-
   (* ---- observer plumbing ----------------------------------------------
 
-     [obs] is [Some run] iff the caller supplied observers; [None] keeps
-     every engine on the legacy hard-coded checker.  With observers the
-     legacy agreement/validity checks and probe judgments are {e replaced}:
-     the observer set defines the property (the legacy set is
-     [Observer.defaults], differentially pinned by the test suite).
+     Every engine threads the run's [Observer.Run.t] through the walk: the
+     monitors are advanced over each step and crash, their verdict is
+     checked at every visited configuration, and solo probes feed them
+     their outcomes.
 
-     Soundness with the transposition table: [obs_key] folds the observer
-     digest into both fingerprint lanes — a product construction, the
-     monitor rides along in the explored state space — so a revisit is
+     Soundness with the transposition table: [key_a]/[key_b] fold the
+     observer digest into both fingerprint lanes — a product construction,
+     the monitor rides along in the explored state space — so a revisit is
      pruned only when machine fingerprint {e and} observer digest coincide.
-     By the [Observer.S.digest] contract (digest determines verdict and
-     future behaviour) the first visit already rendered this verdict and
-     the observers behave identically below, so pruning, [Partial]
-     revisits and the commute/symmetric reductions (gated per observer by
-     [observer_gate]) stay exact. *)
+     By the [Observer.S.digest] contract (digest and configuration determine
+     verdict and future behaviour) the first visit already rendered this
+     verdict and the observers behave identically below, so pruning,
+     [Partial] revisits and the commute/symmetric reductions (gated per
+     observer by [observer_gate]) stay exact. *)
 
   let feed_accesses o cfg pid =
     match M.poised cfg pid with
@@ -405,13 +285,11 @@ module Run (P : Consensus.Proto.S) = struct
     | Some v -> Observer.Run.decide o ~pid ~value:v
     | None -> o
 
-  let obs_advance obs cfg pid cfg' =
-    match obs with None -> None | Some o -> Some (obs_step o cfg pid cfg')
-
   (* A process built from [Proc.return] is decided in the root configuration,
      before any step exists to observe; feed those decisions at creation so
-     the monitors see the same decision sets the legacy checker reads off the
-     configuration. *)
+     the monitors see every decision the configuration holds.  (A crash
+     never produces one: only a process that has stepped can crash, so its
+     protocol root is not a decision.) *)
   let obs_make set ~inputs root =
     let o = Observer.Run.make set ~n:(Array.length inputs) ~inputs in
     List.fold_left
@@ -422,19 +300,26 @@ module Run (P : Consensus.Proto.S) = struct
     match Observer.Run.verdict o with
     | None -> ()
     | Some (kind, _liveness, message) ->
-      raise (Violation (witness_of ~path ~probe (kind_of_name kind, message)))
+      raise (Violation (witness_of ~path ~probe (kind, message)))
 
-  let obs_key obs (a, b) =
-    match obs with
-    | None -> (a, b)
-    | Some o ->
-      let h = Observer.Run.digest o in
-      ((a lxor (h * 0x100000001B3)) land max_int, (b lxor (h * 0x1000193)) land max_int)
+  (* The two lanes of the transposition key: each fingerprint lane xor a
+     multiple of the observer digest [h] — a bijection of the lane, so a
+     constant digest leaves the table's partition exactly as the machine
+     fingerprint draws it. *)
+  let key_a h a = a lxor (h * 0x100000001B3)
+  let key_b h b = b lxor (h * 0x1000193)
 
-  (* The probe chain of [probe_violation], summarized as an event for the
-     observers.  Runs on the scratch workspace; config-local — the caller
-     checks the post-probe verdict and discards the state, mirroring the
-     legacy probes (which never mutate the exploration). *)
+  (* One solo probe from [cfg], summarized as an event for the observers:
+     run [pid] solo (it must decide — obstruction-freedom), then every other
+     running process solo {e once each} — a non-deciding straggler must
+     surface as a termination failure, not retry the same pid forever — and
+     report the complete decision set.  Probe steps are the model checker's
+     hot loop (every leaf probes every running process, and each probe
+     chains full solo runs), but none of their intermediate configurations
+     is fingerprinted or branched from, so they run on the mutable scratch
+     workspace ([M.Scratch]), several times faster than the persistent
+     machine.  Config-local: the caller checks the post-probe verdict and
+     discards the state, so probes never change the exploration. *)
   let scratch_outcome ~solo_fuel cfg pid =
     let s = M.Scratch.of_config cfg in
     match M.Scratch.run_solo ~fuel:solo_fuel ~pid s with
@@ -449,28 +334,16 @@ module Run (P : Consensus.Proto.S) = struct
 
   let obs_probe_one ~solo_fuel ~path c cfg o pid =
     c.probes <- c.probes + 1;
-    obs_check ~path ~probe:(Some pid)
-      (Observer.Run.probe o (scratch_outcome ~solo_fuel cfg pid))
+    let o = Observer.Run.probe o (scratch_outcome ~solo_fuel cfg pid) in
+    if Option.is_some (Observer.Run.verdict o) then obs_check ~path ~probe:(Some pid) o
 
   exception Stop
 
   (* The two-word fingerprint the transposition table keys on: plain, or
-     quotiented by process symmetry when the reduction asks for it.  In
-     [`Fold] mode the original from-scratch single-word fold is used for
-     both lanes — the reference the differential tests compare the
-     incremental digest against. *)
-  let fingerprint_words_fn ~reduce ~inputs ~fp_mode =
-    match (fp_mode : fingerprint_mode) with
-    | `Flat ->
-      if reduce.symmetric then M.canonical_fingerprint_words ~inputs
-      else M.fingerprint_words
-    | `Fold ->
-      if reduce.symmetric then fun cfg ->
-        let h = M.slow_canonical_fingerprint ~inputs cfg in
-        (h, h)
-      else fun cfg ->
-        let h = M.slow_fingerprint cfg in
-        (h, h)
+     quotiented by process symmetry when the reduction asks for it. *)
+  let fingerprint_words_fn ~reduce ~inputs =
+    if reduce.symmetric then M.canonical_fingerprint_words ~inputs
+    else M.fingerprint_words
 
   (* Interned-op independence for the sleep-set filter: each domain interns
      the ops it encounters to dense ids ([Model.Intern]) and keeps an
@@ -584,7 +457,7 @@ module Run (P : Consensus.Proto.S) = struct
                 0 running
           in
           let cfg' = M.step cfg pid in
-          go cfg' (d - 1) (pid :: path) succ_sleep (obs_advance obs cfg pid cfg');
+          go cfg' (d - 1) (pid :: path) succ_sleep (obs_step obs cfg pid cfg');
           asleep := !asleep lor bit
         end)
       running
@@ -598,22 +471,38 @@ module Run (P : Consensus.Proto.S) = struct
      which is exactly the re-decision scenario recoverable consensus must
      survive.  Sound under the transposition table because recovery epochs
      are folded into the fingerprint: equal keys imply equal epoch vectors,
-     hence equal crash counts and equal remaining budget.  The observer
-     state crosses a crash unchanged — monitors see no event, and the
-     recovered process's later decisions reach them as ordinary [decide]s.
-     With a zero budget all of this is dead code: no [M.crashable] call, no
-     branch, bit-identical exploration. *)
+     hence equal crash counts and equal remaining budget.  The monitors see
+     the crash as a [crash] event, and the recovered process's later
+     decisions reach them as ordinary [decide]s.  With a zero budget all of
+     this is dead code: no [M.crashable] call, no branch, bit-identical
+     exploration. *)
   let crash_children ~crash_budget ~go cfg d path obs =
     if crash_budget > 0 && M.crashes cfg < crash_budget then
       List.iter
         (fun pid ->
           let cfg' = M.crash_recover cfg pid in
-          go cfg' (d - 1) (crash_code pid :: path) 0 obs)
+          go cfg' (d - 1) (crash_code pid :: path) 0 (Observer.Run.crash obs ~pid))
         (M.crashable cfg)
 
   (* Whether [cfg] still has crash branches the depth bound cut off. *)
   let crash_truncated ~crash_budget cfg =
     crash_budget > 0 && M.crashes cfg < crash_budget && M.crashable cfg <> []
+
+  (* A memoized walk's step into [cfg]: key it (machine fingerprint and
+     observer digest) into [table], then visit it in full, count a covered
+     revisit, or — on a [Partial] revisit — explore only the transitions no
+     adequate prior pass stepped.  Crash branches are never slept, so the
+     prior pass that covers this depth already explored all of them. *)
+  let memo ~table ~fpw ~stop ~reduce ~indep ~go ~visit c cfg d path sleep obs =
+    let a, b = fpw cfg and h = Observer.Run.digest obs in
+    match Transposition.plan table (key_a h a) (key_b h b) ~depth:d ~sleep with
+    | Transposition.Hit -> c.hits <- c.hits + 1
+    | Transposition.Visit -> visit cfg d path sleep obs
+    | Transposition.Partial inter ->
+      c.hits <- c.hits + 1;
+      if stop () then raise Stop;
+      if d > 0 && M.running_count cfg > 0 then
+        children ~reduce ~indep ~go c cfg d path sleep obs inter
 
   (* The DFS core all engines share.  [stop] aborts cooperatively (parallel
      mode); [path] seeds the schedule of every witness found below [cfg].
@@ -629,43 +518,24 @@ module Run (P : Consensus.Proto.S) = struct
      transitions are explored, and the per-configuration work (counting,
      checking, probing) is skipped: it ran when the configuration was first
      visited, and depends only on the configuration. *)
-  let dfs ~reduce ~crash_budget ~probe ~solo_fuel ~inputs ~table ~fpw ~indep ~stop ~obs c
-      cfg depth path =
+  let dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~indep ~stop ~obs c cfg
+      depth path =
     let rec go cfg d path sleep obs =
       match table with
       | None -> visit cfg d path sleep obs
-      | Some tbl ->
-        let a, b = obs_key obs (fpw cfg) in
-        (match Transposition.plan tbl a b ~depth:d ~sleep with
-         | Transposition.Hit -> c.hits <- c.hits + 1
-         | Transposition.Visit -> visit cfg d path sleep obs
-         | Transposition.Partial inter ->
-           (* crash branches are never slept, so the prior pass that covers
-              this depth already explored all of them — only step
-              transitions can still need subtrees here *)
-           c.hits <- c.hits + 1;
-           if stop () then raise Stop;
-           if d > 0 && M.running_count cfg > 0 then
-             children ~reduce ~indep ~go c cfg d path sleep obs inter)
+      | Some table ->
+        memo ~table ~fpw ~stop ~reduce ~indep ~go ~visit c cfg d path sleep obs
     and visit cfg d path sleep obs =
       if stop () then raise Stop;
       c.configs <- c.configs + 1;
-      (match obs with
-       | None -> check ~inputs ~path cfg
-       | Some o -> obs_check ~path ~probe:None o);
+      obs_check ~path ~probe:None obs;
       let at_bound = d <= 0 in
       if M.running_count cfg > 0 then begin
-        let running = M.running cfg in
         if at_bound then c.truncated <- true;
-        let should_probe =
+        if
           (match probe with `Never -> false | `Leaves -> at_bound | `Everywhere -> true)
-          && (match obs with None -> true | Some o -> Observer.Run.wants_probes o)
-        in
-        if should_probe then begin
-          match obs with
-          | None -> List.iter (probe_one ~solo_fuel ~inputs ~path c cfg) running
-          | Some o -> List.iter (obs_probe_one ~solo_fuel ~path c cfg o) running
-        end;
+          && Observer.Run.wants_probes obs
+        then List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) (M.running cfg);
         if not at_bound then children ~reduce ~indep ~go c cfg d path sleep obs (-1)
       end;
       if at_bound then begin
@@ -674,8 +544,6 @@ module Run (P : Consensus.Proto.S) = struct
       else crash_children ~crash_budget ~go cfg d path obs
     in
     go cfg depth path 0 obs
-
-  let no_stop () = false
 
   (* Parallel frontier: a sequential BFS prefix visits the shallow
      configurations (so their checks and `Everywhere probes still run
@@ -692,9 +560,9 @@ module Run (P : Consensus.Proto.S) = struct
      every worker joins before a verdict is produced, so a claim whose
      exploration was cut short can only coexist with a [Falsified] or
      [Timed_out] verdict, never launder an incomplete [Completed]. *)
-  let parallel ~reduce ~crash_budget ~domains ~probe ~solo_fuel ~inputs ~fp_mode ~past
-      ~obs c root depth =
-    let fpw = fingerprint_words_fn ~reduce ~inputs ~fp_mode in
+  let parallel ~reduce ~crash_budget ~domains ~probe ~solo_fuel ~inputs ~past ~obs c root
+      depth =
+    let fpw = fingerprint_words_fn ~reduce ~inputs in
     let domains = max 1 domains in
     let target = max 16 (4 * domains) in
     let rec prefix level d =
@@ -705,35 +573,27 @@ module Run (P : Consensus.Proto.S) = struct
             (fun (path, cfg, obs) ->
               if past () then raise Stop;
               c.configs <- c.configs + 1;
-              (match obs with
-               | None -> check ~inputs ~path cfg
-               | Some o -> obs_check ~path ~probe:None o);
+              obs_check ~path ~probe:None obs;
               let stepped =
                 if M.running_count cfg = 0 then []
                 else begin
                   let running = M.running cfg in
-                  let probe_here =
-                    probe = `Everywhere
-                    && (match obs with
-                        | None -> true
-                        | Some o -> Observer.Run.wants_probes o)
-                  in
-                  if probe_here then begin
-                    match obs with
-                    | None -> List.iter (probe_one ~solo_fuel ~inputs ~path c cfg) running
-                    | Some o -> List.iter (obs_probe_one ~solo_fuel ~path c cfg o) running
-                  end;
+                  if probe = `Everywhere && Observer.Run.wants_probes obs then
+                    List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
                   List.map
                     (fun pid ->
                       let cfg' = M.step cfg pid in
-                      (pid :: path, cfg', obs_advance obs cfg pid cfg'))
+                      (pid :: path, cfg', obs_step obs cfg pid cfg'))
                     running
                 end
               in
               let crashed =
                 if crash_budget > 0 && M.crashes cfg < crash_budget then
                   List.map
-                    (fun pid -> (crash_code pid :: path, M.crash_recover cfg pid, obs))
+                    (fun pid ->
+                      ( crash_code pid :: path,
+                        M.crash_recover cfg pid,
+                        Observer.Run.crash obs ~pid ))
                     (M.crashable cfg)
                 else []
               in
@@ -748,7 +608,10 @@ module Run (P : Consensus.Proto.S) = struct
     let frontier =
       List.filter
         (fun (_, cfg, obs) ->
-          let h = obs_key obs (fpw cfg) in
+          let h =
+            let a, b = fpw cfg and h = Observer.Run.digest obs in
+            (key_a h a, key_b h b)
+          in
           if Hashtbl.mem seen h then begin
             c.hits <- c.hits + 1;
             false
@@ -799,8 +662,8 @@ module Run (P : Consensus.Proto.S) = struct
       let item i =
         let path, cfg, obs = items.(i) in
         match
-          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~inputs ~table ~fpw ~indep ~stop
-            ~obs wc cfg d path
+          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~indep ~stop ~obs wc
+            cfg d path
         with
         | () -> ()
         | exception Violation w ->
@@ -843,9 +706,9 @@ module Run (P : Consensus.Proto.S) = struct
 
   exception Invalid_schedule
 
-  (* [probe_steps]'s persistent chain, summarized as an [Observer]
-     outcome — the replay counterpart of [scratch_outcome] (witness replays
-     want the event trace, so they stay on the persistent machine). *)
+  (* [scratch_outcome]'s probe chain on the persistent machine, for
+     [replay]: a witness replay wants the event trace, which only the
+     persistent machine records. *)
   let probe_outcome_steps ~solo_fuel cfg pid =
     let cfg, dec = M.run_solo ~fuel:solo_fuel ~pid cfg in
     match dec with
@@ -861,21 +724,20 @@ module Run (P : Consensus.Proto.S) = struct
        | [] -> (cfg, Observer.Probe_decided { pid; decisions = M.decisions cfg }))
 
   (* Deterministically re-execute a witness from the root: step its schedule
-     pid by pid, then re-run the solo probe if it has one, then re-check.
-     Returns the final configuration and the violation the execution ran
-     into, if any.  Raises [Invalid_schedule] when the schedule names a pid
-     that cannot step, or when [probe] names a pid that is not running at
-     the end of the schedule (a decided or finished process cannot be
-     probed) — possible only for shrink candidates and hand-edited
-     witnesses, never for a witness an engine just reported.
+     pid by pid, then re-run the solo probe if it has one.  Returns the
+     final configuration and the violation the execution ran into, if any.
+     Raises [Invalid_schedule] when the schedule names a pid that cannot
+     step, or when [probe] names a pid that is not running at the end of the
+     schedule (a decided or finished process cannot be probed) — possible
+     only for shrink candidates and hand-edited witnesses, never for a
+     witness an engine just reported.
 
-     With [observers] the observer set defines the property, exactly as in
-     the engines: the monitors are advanced over every step and their
-     verdict is checked after each one (the engines check at every visited
-     configuration, so a non-latching observer — e.g. [Observer.lockout] —
-     must be re-checked per step here too); the replay stops at the first
-     violation. *)
-  let replay ?(observers = []) ~record_trace ~solo_fuel ~inputs (w : witness) =
+     The observers are driven exactly as in the engines: advanced over every
+     step and crash, with their verdict checked after each one (the engines
+     check at every visited configuration, so a non-latching observer — e.g.
+     [Observer.lockout] — must be re-checked per step here too); the replay
+     stops at the first violation. *)
+  let replay ~observers ~record_trace ~solo_fuel ~inputs (w : witness) =
     let n = Array.length inputs in
     (* negative schedule entries are crash–recover events ([crash_code]);
        a crash of a non-crashable process is as invalid as a step of a
@@ -897,40 +759,29 @@ module Run (P : Consensus.Proto.S) = struct
     in
     let probeable cfg pid = pid >= 0 && pid < n && List.mem pid (M.running cfg) in
     let root = root_config ~record_trace ~inputs in
-    match observers with
-    | [] ->
-      let cfg = List.fold_left step root w.schedule in
-      (match w.probe with
-       | Some pid when probeable cfg pid -> probe_steps ~solo_fuel ~inputs cfg pid
-       | Some _ -> raise Invalid_schedule
-       | None ->
-         (match check_decisions ~inputs (M.decisions cfg) with
-          | () -> (cfg, None)
-          | exception Check (k, m) -> (cfg, Some (k, m))))
-    | set ->
-      let violation o =
-        match Observer.Run.verdict o with
-        | None -> None
-        | Some (kind, _liveness, m) -> Some (kind_of_name kind, m)
-      in
-      let rec steps cfg o = function
-        | [] ->
-          (match w.probe with
-           | None -> (cfg, None)
-           | Some pid when probeable cfg pid ->
-             let cfg, outcome = probe_outcome_steps ~solo_fuel cfg pid in
-             (cfg, violation (Observer.Run.probe o outcome))
-           | Some _ -> raise Invalid_schedule)
-        | code :: rest ->
-          let cfg' = step cfg code in
-          (* monitors cross a crash unchanged, as in the engines *)
-          let o = if is_crash code then o else obs_step o cfg code cfg' in
-          (match violation o with
-           | Some v -> (cfg', Some v)
-           | None -> steps cfg' o rest)
-      in
-      let o = obs_make set ~inputs root in
-      (match violation o with Some v -> (root, Some v) | None -> steps root o w.schedule)
+    let violation o =
+      match Observer.Run.verdict o with
+      | None -> None
+      | Some (kind, _liveness, m) -> Some (kind, m)
+    in
+    let rec steps cfg o = function
+      | [] ->
+        (match w.probe with
+         | None -> (cfg, None)
+         | Some pid when probeable cfg pid ->
+           let cfg, outcome = probe_outcome_steps ~solo_fuel cfg pid in
+           (cfg, violation (Observer.Run.probe o outcome))
+         | Some _ -> raise Invalid_schedule)
+      | code :: rest ->
+        let cfg' = step cfg code in
+        let o =
+          if is_crash code then Observer.Run.crash o ~pid:(crash_pid code)
+          else obs_step o cfg code cfg'
+        in
+        (match violation o with Some v -> (cfg', Some v) | None -> steps cfg' o rest)
+    in
+    let o = obs_make observers ~inputs root in
+    match violation o with Some v -> (root, Some v) | None -> steps root o w.schedule
 
   (* Greedy delta debugging on the schedule: repeatedly delete segments,
      halving the segment size from len/2 down to single steps; a deletion is
@@ -1006,36 +857,22 @@ module Run (P : Consensus.Proto.S) = struct
       diagnosis_elapsed = Unix.gettimeofday () -. t0;
     }
 
-  (* The bivalence walk of [Modelcheck.decidable_values], on the shared
-     memoized core: collect every value decided in some reachable
-     configuration or decidable by a solo continuation from one.  Sound to
-     prune on the fingerprint table because equal fingerprints imply equal
-     future behaviour, hence equal decidable-value contributions. *)
-  let decidable ~reduce ~crash_budget ~solo_fuel ~inputs ~table ~fp_mode ~stop ~obs c cfg
-      depth =
-    let fpw = fingerprint_words_fn ~reduce ~inputs ~fp_mode in
+  (* The bivalence walk of [decidable_values], on the shared memoized core:
+     collect every value decided in some reachable configuration or
+     decidable by a solo continuation from one.  Sound to prune on the
+     fingerprint table because equal fingerprints imply equal future
+     behaviour, hence equal decidable-value contributions. *)
+  let decidable ~reduce ~crash_budget ~solo_fuel ~inputs ~stop ~obs c cfg depth =
+    let fpw = fingerprint_words_fn ~reduce ~inputs in
     let indep = make_independent ~seed:(static_ops ~reduce ~inputs) () in
+    let table = Transposition.create ~concurrent:false () in
     let seen = Hashtbl.create 7 in
     let rec go cfg d path sleep obs =
-      match table with
-      | None -> visit cfg d path sleep obs
-      | Some tbl ->
-        let a, b = obs_key obs (fpw cfg) in
-        (match Transposition.plan tbl a b ~depth:d ~sleep with
-         | Transposition.Hit -> c.hits <- c.hits + 1
-         | Transposition.Visit -> visit cfg d path sleep obs
-         | Transposition.Partial inter ->
-           (* decisions and probes ran when this configuration was first
-              visited; only the transitions every adequate prior pass left
-              asleep still need subtrees *)
-           c.hits <- c.hits + 1;
-           if stop () then raise Stop;
-           if d > 0 && M.running_count cfg > 0 then
-             children ~reduce ~indep ~go c cfg d path sleep obs inter)
+      memo ~table ~fpw ~stop ~reduce ~indep ~go ~visit c cfg d path sleep obs
     and visit cfg d path sleep obs =
       if stop () then raise Stop;
       c.configs <- c.configs + 1;
-      (match obs with None -> () | Some o -> obs_check ~path ~probe:None o);
+      obs_check ~path ~probe:None obs;
       List.iter (fun (_, v) -> Hashtbl.replace seen v ()) (M.decisions cfg);
       if d > 0 then crash_children ~crash_budget ~go cfg d path obs;
       match M.running cfg with
@@ -1056,16 +893,14 @@ module Run (P : Consensus.Proto.S) = struct
               raise
                 (Violation
                    (witness_of ~path ~probe:(Some pid)
-                      ( `Obstruction_freedom,
+                      ( "obstruction-freedom",
                         Printf.sprintf
                           "obstruction-freedom: process %d did not decide solo within %d \
                            steps"
                           pid solo_fuel ))))
           running;
-        (match obs with
-         | Some o when Observer.Run.wants_probes o ->
-           List.iter (obs_probe_one ~solo_fuel ~path c cfg o) running
-         | _ -> ());
+        if Observer.Run.wants_probes obs then
+          List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
         if d > 0 then children ~reduce ~indep ~go c cfg d path sleep obs (-1)
     in
     go cfg depth [] 0 obs;
@@ -1076,44 +911,39 @@ end
    bounded and cached, and billing it to the engine would make the same task
    time out on a cold cache but complete on a warm one. *)
 let past_of ~t0 = function
-  | None -> None
+  | None -> fun () -> false
   | Some d ->
     let at = t0 +. d in
-    Some (fun () -> Unix.gettimeofday () > at)
+    fun () -> Unix.gettimeofday () > at
 
 let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = true)
     ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline
-    ?(fingerprint_mode = default_fingerprint_mode) ?(observers = [])
-    (module P : Consensus.Proto.S) ~inputs ~depth =
+    ?(observers = []) (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.run: negative crash budget";
+  let observers = observers_or_defaults observers in
   observer_gate ~reduce ~force observers;
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
   let module R = Run (P) in
   let t0 = Unix.gettimeofday () in
-  let past = Option.value (past_of ~t0 deadline) ~default:R.no_stop in
+  let past = past_of ~t0 deadline in
   let c = fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
-  let obs =
-    match observers with
-    | [] -> None
-    | set -> Some (R.obs_make set ~inputs root)
-  in
-  let fp_mode = fingerprint_mode in
-  let fpw = R.fingerprint_words_fn ~reduce ~inputs ~fp_mode in
+  let obs = R.obs_make observers ~inputs root in
+  let fpw = R.fingerprint_words_fn ~reduce ~inputs in
   let result =
     try
       let seed = R.static_ops ~reduce ~inputs in
       (match engine with
        | `Naive ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~inputs ~table:None ~fpw
+         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~table:None ~fpw
            ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
        | `Memo ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~inputs
+         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel
            ~table:(Some (Transposition.create ~concurrent:false ())) ~fpw
            ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
        | `Parallel k ->
          R.parallel ~reduce ~crash_budget:crashes ~domains:k ~probe ~solo_fuel ~inputs
-           ~fp_mode ~past ~obs c root depth);
+           ~past ~obs c root depth);
       `Done
     with
     | Violation w -> `Violation w
@@ -1128,13 +958,14 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
     Timed_out { partial = stats; deadline = Option.value deadline ~default:0. }
 
 type replay_report = {
-  violation : (violation_kind * string) option;
+  violation : (string * string) option;
   events : string;
 }
 
 let replay ?(solo_fuel = 100_000) ?(observers = []) (module P : Consensus.Proto.S)
     ~inputs w =
   let module R = Run (P) in
+  let observers = observers_or_defaults observers in
   match R.replay ~observers ~record_trace:true ~solo_fuel ~inputs w with
   | cfg, violation -> Ok { violation; events = R.trace_of cfg }
   | exception R.Invalid_schedule ->
@@ -1142,32 +973,29 @@ let replay ?(solo_fuel = 100_000) ?(observers = []) (module P : Consensus.Proto.
       "invalid witness: the schedule names a process that cannot step, or the probe \
        names a process that is not running"
 
-let decidable_values ?(solo_fuel = 100_000) ?(memo = true) ?(shrink = true)
-    ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline
-    ?(fingerprint_mode = default_fingerprint_mode) ?(observers = [])
+let decidable_values ?(solo_fuel = 100_000) ?(shrink = true) ?(reduce = no_reduction)
+    ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline ?(observers = [])
     (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.decidable_values: negative crash budget";
   observer_gate ~reduce ~force observers;
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
   let module R = Run (P) in
   let t0 = Unix.gettimeofday () in
-  let past = Option.value (past_of ~t0 deadline) ~default:R.no_stop in
+  let past = past_of ~t0 deadline in
   let c = fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
-  let obs =
-    match observers with
-    | [] -> None
-    | set -> Some (R.obs_make set ~inputs root)
-  in
-  let table = if memo then Some (Transposition.create ~concurrent:false ()) else None in
+  (* no observers: no property beyond the walk's own solo probes *)
+  let obs = R.obs_make observers ~inputs root in
   match
-    R.decidable ~reduce ~crash_budget:crashes ~solo_fuel ~inputs ~table
-      ~fp_mode:fingerprint_mode ~stop:past ~obs c root depth
+    R.decidable ~reduce ~crash_budget:crashes ~solo_fuel ~inputs ~stop:past ~obs c root
+      depth
   with
   | values -> Completed values
   | exception Violation w ->
     let stats = stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
-    Falsified (R.failure ~shrink ~observers ~solo_fuel ~inputs ~stats w)
+    Falsified
+      (R.failure ~shrink ~observers:(observers_or_defaults observers) ~solo_fuel ~inputs
+         ~stats w)
   | exception R.Stop ->
     let stats = stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
     Timed_out { partial = stats; deadline = Option.value deadline ~default:0. }
@@ -1182,7 +1010,7 @@ type deepen_report = {
 
 let deepen ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Memo) ?(budget = 1.0)
     ?shrink ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry
-    ?fingerprint_mode ?(observers = []) proto ~inputs ~max_depth =
+    ?(observers = []) proto ~inputs ~max_depth =
   if max_depth < 1 then invalid_arg "Explore.deepen: max_depth < 1";
   (* gate (and notify) once at the deepest depth the iteration can reach,
      then let the per-depth runs through — their certificates are implied
@@ -1198,9 +1026,8 @@ let deepen ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Memo) ?(budget 
       (* the remaining budget bounds each iteration, so one oversized
          iteration can no longer blow past the budget *)
       match
-        run ~probe ~solo_fuel ~engine ?shrink ~reduce ~crashes ~force:true
-          ?fingerprint_mode ~observers ~deadline:(budget -. elapsed ()) proto ~inputs
-          ~depth:d
+        run ~probe ~solo_fuel ~engine ?shrink ~reduce ~crashes ~force:true ~observers
+          ~deadline:(budget -. elapsed ()) proto ~inputs ~depth:d
       with
       | Falsified f -> Falsified f
       | Timed_out t ->

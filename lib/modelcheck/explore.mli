@@ -1,10 +1,15 @@
-(** The exploration engines behind {!Modelcheck.explore}.
+(** Bounded exhaustive verification of consensus protocols.
 
-    All engines decide the same property — they walk the schedule tree of a
-    protocol to a depth bound, checking agreement/validity at every visited
-    configuration and optionally probing obstruction-freedom (or, with
-    [?observers], whatever property the supplied {!Observer} set monitors) —
-    but differ in how much of the tree they actually touch:
+    Explores {e every} schedule of a protocol up to a step bound — possible
+    because processes are pure step machines, so a configuration can be
+    stepped along all branches.  This is the executable counterpart of the
+    paper's proof obligations: agreement and validity in all executions,
+    solo termination from every reachable configuration.
+
+    All engines decide the same property — the {!Observer} set of the run,
+    by default {!Observer.defaults}: agreement/validity at every visited
+    configuration, and obstruction-freedom by solo probes — but differ in
+    how much of the tree they actually touch:
 
     - [`Naive] walks every schedule (the original engine).
     - [`Memo] keeps a transposition table ({!Transposition}) keyed on the
@@ -20,8 +25,8 @@
       batches, all updating one shared sharded transposition table — work
       one domain claims is never repeated by another.
 
-    Engines agree on the verdict: [Ok _] vs [Error _], and the violation
-    {!violation_kind}, match across engines on the same protocol/depth (the
+    Engines agree on the verdict: [Completed] vs [Falsified], and the
+    violation kind, match across engines on the same protocol/depth (the
     exact counter-example may differ for [`Parallel]).  Stats differ by
     design — [`Memo] visits fewer configurations.
 
@@ -34,19 +39,6 @@
 
 type engine = [ `Naive | `Memo | `Parallel of int ]
 type probe_policy = [ `Leaves | `Everywhere | `Never ]
-
-type fingerprint_mode = [ `Flat | `Fold ]
-(** Which fingerprint implementation keys the transposition tables:
-    [`Flat] (the default) reads the machine's incrementally maintained
-    two-lane digest in O(1) per configuration; [`Fold] recomputes the
-    original from-scratch fold ({!Model.Machine.Make.slow_fingerprint})
-    every time — the debug/differential-testing reference.  Verdicts,
-    witness schedules and decidable-value sets are identical in both modes
-    (modulo hash collisions); only speed differs. *)
-
-val default_fingerprint_mode : fingerprint_mode
-(** [`Fold] when the environment variable [SPACE_HIERARCHY_FP] is set to
-    ["fold"] at load time, else [`Flat]. *)
 
 type reduction = {
   commute : bool;
@@ -103,25 +95,14 @@ exception Observer_unsafe_reduction of { observer : string; reduction : string }
     {!Observer.S.symmetric_safe}) — e.g. {!Observer.lockout} under either
     reduction.  Suppressed by [~force:true] (unsound — for experiments). *)
 
-type violation_kind =
-  [ `Agreement | `Validity | `Obstruction_freedom | `Termination | `Observer of string ]
-(** [`Observer name] is a violation reported by a custom observer whose
-    verdict kind matches none of the legacy names; the built-in
-    agreement/validity/solo-termination observers report the legacy
-    constructors, so observer-driven runs and the hard-coded checker yield
-    comparable witnesses. *)
-
-val kind_name : violation_kind -> string
-(** ["agreement"], ["validity"], ["obstruction-freedom"], ["termination"],
-    or the observer's verdict kind — also the prefix of every violation
-    message. *)
-
-val kind_of_name : string -> violation_kind
-(** Inverse of {!kind_name}: the four legacy names map to the legacy
-    constructors, anything else to [`Observer name]. *)
+val kind_name : string -> string
+(** The identity: a witness kind is already its name. *)
 
 type witness = {
-  kind : violation_kind;
+  kind : string;
+      (** the violating observer's verdict kind — ["agreement"],
+          ["validity"], ["obstruction-freedom"], ["termination"], or a
+          custom observer's — also the prefix of [message] *)
   message : string;    (** human-readable description of the violation *)
   schedule : int list;
       (** pids stepped from the root, in execution order; a negative entry
@@ -208,7 +189,6 @@ val run :
   ?force:bool ->
   ?notify_symmetry:(Analysis.Symmetry.verdict -> unit) ->
   ?deadline:float ->
-  ?fingerprint_mode:fingerprint_mode ->
   ?observers:Observer.t list ->
   Consensus.Proto.t ->
   inputs:int array ->
@@ -216,7 +196,10 @@ val run :
   stats verdict
 (** [run proto ~inputs ~depth] explores the schedule tree to [depth] steps
     with the chosen [engine] (default [`Naive]).  Probing (default
-    [`Leaves]) is as in {!Modelcheck.explore}.  [reduce] (default
+    [`Leaves]: only where the depth bound cuts the tree off, or
+    [`Everywhere]: at every configuration) runs each undecided process solo
+    — it must decide within [solo_fuel] steps — then the rest in turn, and
+    feeds the outcome to the observers.  [reduce] (default
     {!no_reduction}) layers commutativity and/or symmetry reduction over the
     engine — see {!reduction} for the soundness contract.  With
     [reduce.symmetric] the protocol is first certified pid-symmetric for
@@ -227,18 +210,16 @@ val run :
     greedy schedule-segment deletion (each candidate kept iff its replay
     still raises the same violation kind).
 
-    [observers] (default [[]]) replaces the hard-coded agreement/validity
-    checks and probe judgments with the supplied {!Observer} set: the
-    monitors are advanced inline over every scheduled step, their verdict is
-    checked at every visited configuration, and solo probes run iff the
-    probe policy allows them {e and} some observer wants them
-    ({!Observer.S.wants_probes}), feeding each probe's outcome to the set.
-    [Observer.defaults] reproduces the legacy checker.  Under [`Memo] and
-    [`Parallel] the observer digest is folded into the transposition key (a
-    product construction), so memoization remains exact; a reduction an
-    observer declares unsafe for itself raises
-    {!Observer_unsafe_reduction} unless [force] is set.  The empty set
-    keeps the engines on the legacy checker, byte for byte.
+    [observers] is the property checked ([[]], the default, means
+    {!Observer.defaults}): the monitors are advanced inline over every
+    scheduled step and crash, their verdict is checked at every visited
+    configuration, and solo probes run iff the probe policy allows them
+    {e and} some observer wants them ({!Observer.S.wants_probes}), feeding
+    each probe's outcome to the set.  Under [`Memo] and [`Parallel] the
+    observer digest is folded into the transposition key (a product
+    construction), so memoization remains exact; a reduction an observer
+    declares unsafe for itself raises {!Observer_unsafe_reduction} unless
+    [force] is set.
 
     [crashes] (default [0]) is the crash budget of Golab's crash–recovery
     model: at every visited configuration with budget remaining, each
@@ -266,7 +247,7 @@ val run :
     so expiry is detected within one configuration's worth of work. *)
 
 type replay_report = {
-  violation : (violation_kind * string) option;
+  violation : (string * string) option;
       (** the violation the replay ran into ([None]: it completed cleanly —
           the witness does not reproduce) *)
   events : string;  (** the full event trace of the replayed execution *)
@@ -280,10 +261,10 @@ val replay :
   witness ->
   (replay_report, string) result
 (** Deterministically re-execute a witness from the initial configuration:
-    step its schedule pid by pid, then re-run its solo probe, then re-check
-    agreement/validity — or, with [observers], advance the observer set over
-    every step (checking its verdict after each one, stopping at the first
-    violation) and feed it the probe's outcome.  [Error _] if the schedule
+    step its schedule pid by pid, advancing the observer set ([[]] means
+    {!Observer.defaults}, as in {!run}) and checking its verdict after each
+    step, stopping at the first violation; then re-run the solo probe and
+    feed the observers its outcome.  [Error _] if the schedule
     names a process that cannot step, or if the witness's [probe] names a
     process that is not running once the schedule has been executed — a
     decided or finished process cannot be probed (only possible for
@@ -291,14 +272,12 @@ val replay :
 
 val decidable_values :
   ?solo_fuel:int ->
-  ?memo:bool ->
   ?shrink:bool ->
   ?reduce:reduction ->
   ?crashes:int ->
   ?force:bool ->
   ?notify_symmetry:(Analysis.Symmetry.verdict -> unit) ->
   ?deadline:float ->
-  ?fingerprint_mode:fingerprint_mode ->
   ?observers:Observer.t list ->
   Consensus.Proto.t ->
   inputs:int array ->
@@ -307,14 +286,14 @@ val decidable_values :
 (** The set of values some solo continuation decides from some configuration
     reachable within [depth] steps — ≥ 2 values demonstrate bivalence
     (Lemma 6.4).  Runs on the same fingerprint transposition table as the
-    [`Memo] engine (disable with [memo:false] to get the naive walk) and
-    honours [reduce], [crashes], [deadline] and [observers] like {!run} — reductions
-    preserve the decidable-value set because every reachable configuration
-    is still probed; a process that fails to decide solo is reported
-    ([Falsified]) as an obstruction-freedom failure with a witness.  The
-    bivalence walk's own solo probes (which collect the decided values)
-    always run regardless of the observer set; supplied observers are
-    checked at every visited configuration on top. *)
+    [`Memo] engine and honours [reduce], [crashes] and [deadline] like
+    {!run} — reductions preserve the decidable-value set because every
+    reachable configuration is still probed; a process that fails to decide
+    solo is reported ([Falsified]) as an obstruction-freedom failure with a
+    witness.  The bivalence walk's own solo probes (which collect the
+    decided values) always run; [observers] (default [[]]: no property
+    beyond those probes) are checked at every visited configuration on
+    top. *)
 
 type deepen_report = {
   depth_reached : int;   (** deepest completed iteration *)
@@ -334,7 +313,6 @@ val deepen :
   ?crashes:int ->
   ?force:bool ->
   ?notify_symmetry:(Analysis.Symmetry.verdict -> unit) ->
-  ?fingerprint_mode:fingerprint_mode ->
   ?observers:Observer.t list ->
   Consensus.Proto.t ->
   inputs:int array ->

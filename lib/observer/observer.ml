@@ -1,8 +1,9 @@
 (* Composable checked properties: finite-state monitors over the exploration
    event stream.  See observer.mli for the soundness contract; the short
    version is that states are immutable, violations latch into sink states,
-   and [digest] must determine the verdict and future behaviour because the
-   memoized engines fold it into the transposition key. *)
+   and [digest], together with the configuration, must determine the
+   verdict and future behaviour because the memoized engines fold it into
+   the transposition key. *)
 
 type probe_outcome =
   | Probe_decided of { pid : int; decisions : (int * int) list }
@@ -28,6 +29,7 @@ module type S = sig
   val on_step : state -> pid:int -> state
   val on_access : state -> pid:int -> loc:int -> value:int option -> state
   val on_decide : state -> pid:int -> value:int -> state
+  val on_crash : state -> pid:int -> state
   val on_probe : state -> probe_outcome -> state
   val digest : state -> int
   val verdict : state -> verdict
@@ -46,19 +48,46 @@ let mix h v = (h lxor (v land max_int)) * 0x100000001b3 land max_int
 module Run = struct
   type packed = P : (module S with type state = 's) * 's -> packed
 
+  (* [digest] and [verdict] are pure functions of the members' states,
+     cached here and recomputed only when some member's state changes: the
+     engines read both at every visited configuration, while most events
+     change no state at all. *)
   type t = {
     packs : packed array;
+    digest : int;
+    verdict : (string * bool * string) option;
     wants_probes : bool;
     wants_accesses : bool;
   }
 
+  let digest_of packs =
+    Array.fold_left
+      (fun acc (P ((module O), s)) -> mix acc (O.digest s))
+      0x243F6A8885A308D3 (* π, an arbitrary non-zero seed *)
+      packs
+
+  let verdict_of packs =
+    let len = Array.length packs in
+    let rec go i =
+      if i >= len then None
+      else begin
+        let (P ((module O), s)) = packs.(i) in
+        match O.verdict s with
+        | Ok -> go (i + 1)
+        | Violation { kind; liveness; message } -> Some (kind, liveness, message)
+      end
+    in
+    go 0
+
   let make set ~n ~inputs =
+    let packs =
+      Array.of_list
+        (List.map (fun (module O : S) -> P ((module O), O.init ~n ~inputs)) set)
+    in
     {
-      packs =
-        Array.of_list
-          (List.map
-             (fun ((module O : S) as _o) -> P ((module O), O.init ~n ~inputs))
-             set);
+      packs;
+      digest = digest_of packs;
+      verdict = verdict_of packs;
       wants_probes = List.exists (fun (module O : S) -> O.wants_probes) set;
       wants_accesses = List.exists (fun (module O : S) -> O.wants_accesses) set;
     }
@@ -66,58 +95,74 @@ module Run = struct
   let wants_probes t = t.wants_probes
   let wants_accesses t = t.wants_accesses
 
-  type app = { f : 's. (module S with type state = 's) -> 's -> 's }
+  (* One event, as a closed function of its two arguments: the handlers
+     below capture nothing, so feeding an event allocates no closure. *)
+  type ('a, 'b) app = { f : 's. (module S with type state = 's) -> 's -> 'a -> 'b -> 's }
+  [@@unboxed]
 
-  (* Transition every member; keep the array (and the whole [t]) physically
-     unchanged when every member's state is — stateless observers then cost
-     no allocation per event. *)
-  let update t app =
-    let changed = ref false in
-    let packs =
-      Array.map
-        (fun (P ((module O), s) as p) ->
-          let s' = app.f (module O) s in
-          if s' == s then p
-          else begin
-            changed := true;
-            P ((module O), s')
-          end)
-        t.packs
-    in
-    if !changed then { t with packs } else t
-
-  let step t ~pid =
-    update t { f = (fun (type s) (module O : S with type state = s) st -> O.on_step st ~pid) }
-
-  let access t ~pid ~loc ~value =
-    update t
-      { f = (fun (type s) (module O : S with type state = s) st -> O.on_access st ~pid ~loc ~value) }
-
-  let decide t ~pid ~value =
-    update t
-      { f = (fun (type s) (module O : S with type state = s) st -> O.on_decide st ~pid ~value) }
-
-  let probe t outcome =
-    update t { f = (fun (type s) (module O : S with type state = s) st -> O.on_probe st outcome) }
-
-  let digest t =
-    Array.fold_left
-      (fun acc (P ((module O), s)) -> mix acc (O.digest s))
-      0x243F6A8885A308D3 (* π, an arbitrary non-zero seed *)
-      t.packs
-
-  let verdict t =
-    let len = Array.length t.packs in
-    let rec go i =
-      if i >= len then None
+  (* Transition members [i..]: [packs] is [orig] until the first member
+     whose state changes copies it.  A top-level loop, so no closure is
+     allocated per event. *)
+  let rec transition orig packs app a b i =
+    if i = Array.length packs then packs
+    else begin
+      let (P ((module O), s)) = packs.(i) in
+      let s' = app.f (module O) s a b in
+      if s' == s then transition orig packs app a b (i + 1)
       else begin
-        let (P ((module O), s)) = t.packs.(i) in
-        match O.verdict s with
-        | Ok -> go (i + 1)
-        | Violation { kind; liveness; message } -> Some (kind, liveness, message)
+        let packs = if packs == orig then Array.copy packs else packs in
+        packs.(i) <- P ((module O), s');
+        transition orig packs app a b (i + 1)
       end
-    in
-    go 0
+    end
+
+  (* Transition every member; when no state changes, [t] itself is
+     returned and nothing is allocated. *)
+  let update t app a b =
+    let packs = transition t.packs t.packs app a b 0 in
+    if packs == t.packs then t
+    else { t with packs; digest = digest_of packs; verdict = verdict_of packs }
+
+  let on_step =
+    {
+      f =
+        (fun (type s) (module O : S with type state = s) st pid () -> O.on_step st ~pid);
+    }
+
+  let on_access =
+    {
+      f =
+        (fun (type s) (module O : S with type state = s) st pid (loc, value) ->
+          O.on_access st ~pid ~loc ~value);
+    }
+
+  let on_decide =
+    {
+      f =
+        (fun (type s) (module O : S with type state = s) st pid value ->
+          O.on_decide st ~pid ~value);
+    }
+
+  let on_crash =
+    {
+      f =
+        (fun (type s) (module O : S with type state = s) st pid () -> O.on_crash st ~pid);
+    }
+
+  let on_probe =
+    {
+      f =
+        (fun (type s) (module O : S with type state = s) st outcome () ->
+          O.on_probe st outcome);
+    }
+
+  let step t ~pid = update t on_step pid ()
+  let access t ~pid ~loc ~value = update t on_access pid (loc, value)
+  let decide t ~pid ~value = update t on_decide pid value
+  let crash t ~pid = update t on_crash pid ()
+  let probe t outcome = update t on_probe outcome ()
+  let digest t = t.digest
+  let verdict t = t.verdict
 
   let first_unsafe ~commute ~symmetric set =
     List.find_map
@@ -130,66 +175,66 @@ end
 
 (* -------------------------------------------------- built-in observers -- *)
 
-(* Agreement: no two processes decide different values.  The incremental
-   reference value is the chronologically first decision (the legacy checker
-   re-derives it per configuration from the lowest decided pid — the verdict
-   "two distinct decided values exist" is the same either way); a probe's
-   complete decision set is re-checked with the legacy fold so probe-found
-   violations carry the legacy message. *)
+(* Agreement over the decisions the configuration holds: [holders] is the
+   set of pids (a bitmask) holding a decision, all of them [value].  A crash
+   takes its victim's decision with it, so a decision lost to a crash stops
+   counting.  A conflict is reported the way a scan of the held decisions
+   in pid order finds it — the lowest pid's value is the reference, the
+   first pid holding another value is named — and a probe's complete
+   decision set (sorted by pid) is scanned the same way.
+
+   Until it latches, the state is a function of the configuration's held
+   decisions, which the machine fingerprint covers; so the digest adds
+   nothing but the violation sink to the transposition key.  The verdict
+   only depends on which values are held, never on which pids hold them,
+   so the symmetric reduction is safe too. *)
 module Agreement = struct
-  type state = { first : int option; bad : string option }
+  type state = { value : int; holders : int; bad : string option }
 
   let name = "agreement"
   let wants_probes = true
   let wants_accesses = false
-  let commute_safe = true (* verdict is a function of the configuration's decision set *)
-  let symmetric_safe = true (* no pid in the state; digest hashes values only *)
-  let init ~n:_ ~inputs:_ = { first = None; bad = None }
+  let commute_safe = true
+  let symmetric_safe = true
+  let init ~n:_ ~inputs:_ = { value = 0; holders = 0; bad = None }
   let on_step st ~pid:_ = st
   let on_access st ~pid:_ ~loc:_ ~value:_ = st
 
-  let on_decide st ~pid ~value =
-    match (st.bad, st.first) with
-    | Some _, _ -> st
-    | None, None -> { st with first = Some value }
-    | None, Some f when value = f -> st
-    | None, Some f ->
-      {
-        st with
-        bad =
-          Some
-            (Printf.sprintf "agreement: process %d decided %d but %d was also decided"
-               pid value f);
-      }
+  let conflict st pid v first =
+    {
+      st with
+      bad =
+        Some
+          (Printf.sprintf "agreement: process %d decided %d but %d was also decided" pid v
+             first);
+    }
 
-  let check_set st decisions =
-    match (st.bad, decisions) with
-    | Some _, _ | None, [] -> st
-    | None, (_, first) :: _ ->
-      (match
-         List.find_map
-           (fun (pid, v) -> if v <> first then Some (pid, v) else None)
-           decisions
-       with
-       | None -> st
-       | Some (pid, v) ->
-         {
-           st with
-           bad =
-             Some
-               (Printf.sprintf "agreement: process %d decided %d but %d was also decided"
-                  pid v first);
-         })
+  let rec lowest holders pid =
+    if holders land (1 lsl pid) <> 0 then pid else lowest holders (pid + 1)
+
+  let on_decide st ~pid ~value =
+    if Option.is_some st.bad then st
+    else if st.holders = 0 then { st with value; holders = 1 lsl pid }
+    else if value = st.value then { st with holders = st.holders lor (1 lsl pid) }
+    else begin
+      let low = lowest st.holders 0 in
+      if pid < low then conflict st low st.value value else conflict st pid value st.value
+    end
+
+  let on_crash st ~pid =
+    if Option.is_some st.bad || st.holders land (1 lsl pid) = 0 then st
+    else { st with holders = st.holders land lnot (1 lsl pid) }
+
+  let rec differing (first : int) = function
+    | [] -> None
+    | (pid, v) :: rest -> if v <> first then Some (pid, v) else differing first rest
 
   let on_probe st = function
-    | Probe_decided { decisions; _ } -> check_set st decisions
-    | Probe_stuck _ | Probe_starved _ -> st
+    | Probe_decided { decisions = (_, first) :: rest; _ } when Option.is_none st.bad ->
+      (match differing first rest with None -> st | Some (pid, v) -> conflict st pid v first)
+    | Probe_decided _ | Probe_stuck _ | Probe_starved _ -> st
 
-  let digest st =
-    match (st.bad, st.first) with
-    | Some _, _ -> 0x7f1 (* violation sink *)
-    | None, None -> 1
-    | None, Some v -> mix 2 v
+  let digest st = if Option.is_none st.bad then 1 else 0x7f1 (* violation sink *)
 
   let verdict st =
     match st.bad with
@@ -197,47 +242,54 @@ module Agreement = struct
     | Some message -> Violation { kind = "agreement"; liveness = false; message }
 end
 
-(* Validity: every decided value was proposed.  On a probe's decision set
-   only the first decision is checked — exactly what the legacy checker
-   does (a differing invalid decision trips agreement first). *)
-module Validity = struct
-  type state = { valid : int -> bool; bad : string option }
+(* Validity: every decided value was proposed.  Each decision is judged
+   when it is made, post-crash re-decisions included, so every decision a
+   configuration holds has been judged; so is every decision of a probe's
+   decision set (in pid order — a differing invalid decision trips
+   agreement first).  The first unproposed value latches.  Instantiated
+   twice: as plain validity and, under its own kind, as the crash–recovery
+   model's validity over every incarnation's decision. *)
+module Validity (K : sig
+  val kind : string
+end) =
+struct
+  type state = { inputs : int array; bad : string option }
 
-  let name = "validity"
+  let name = K.kind
   let wants_probes = true
   let wants_accesses = false
   let commute_safe = true
   let symmetric_safe = true
-
-  let init ~n:_ ~inputs =
-    let inputs = Array.copy inputs in
-    { valid = (fun v -> Array.exists (fun i -> i = v) inputs); bad = None }
-
+  let init ~n:_ ~inputs = { inputs = Array.copy inputs; bad = None }
   let on_step st ~pid:_ = st
   let on_access st ~pid:_ ~loc:_ ~value:_ = st
 
-  let latch st v =
-    if st.valid v then st
-    else { st with bad = Some (Printf.sprintf "validity: %d decided but never proposed" v) }
+  let rec proposed inputs (v : int) i =
+    i < Array.length inputs && (inputs.(i) = v || proposed inputs v (i + 1))
 
-  let on_decide st ~pid:_ ~value =
-    match st.bad with Some _ -> st | None -> latch st value
+  let latch st v =
+    if Option.is_some st.bad || proposed st.inputs v 0 then st
+    else
+      { st with bad = Some (Printf.sprintf "%s: %d decided but never proposed" K.kind v) }
+
+  let rec latch_all st = function [] -> st | (_, v) :: rest -> latch_all (latch st v) rest
+  let on_decide st ~pid:_ ~value = latch st value
+  let on_crash st ~pid:_ = st
 
   let on_probe st = function
-    | Probe_decided { decisions = (_, first) :: _; _ } when st.bad = None -> latch st first
-    | _ -> st
+    | Probe_decided { decisions; _ } -> latch_all st decisions
+    | Probe_stuck _ | Probe_starved _ -> st
 
-  let digest st = match st.bad with Some _ -> 0x7f2 | None -> 3
+  let digest st = if Option.is_none st.bad then 3 else 0x7f2
 
   let verdict st =
     match st.bad with
     | None -> Ok
-    | Some message -> Violation { kind = "validity"; liveness = false; message }
+    | Some message -> Violation { kind = K.kind; liveness = false; message }
 end
 
 (* Obstruction-freedom as a checked property: the probe chain must complete.
-   Stateless until a probe fails; messages match the legacy checker so the
-   observer path and the legacy path report identical witnesses. *)
+   Stateless until a probe fails. *)
 module Solo_termination = struct
   type state = (string * string) option (* kind, message *)
 
@@ -250,6 +302,7 @@ module Solo_termination = struct
   let on_step st ~pid:_ = st
   let on_access st ~pid:_ ~loc:_ ~value:_ = st
   let on_decide st ~pid:_ ~value:_ = st
+  let on_crash st ~pid:_ = st
 
   let on_probe st outcome =
     match (st, outcome) with
@@ -327,6 +380,7 @@ module Lockout (Params : LOCKOUT_PARAMS) = struct
       { st with procs }
     end
 
+  let on_crash st ~pid:_ = st
   let on_probe st _ = st
 
   let digest st =
@@ -415,6 +469,7 @@ module Maxreg_monotonic = struct
        | _ -> { st with last = put loc v st.last })
 
   let on_decide st ~pid:_ ~value:_ = st
+  let on_crash st ~pid:_ = st
   let on_probe st _ = st
 
   let digest st =
@@ -488,6 +543,10 @@ module Recoverable_agreement = struct
             }
           | None -> { st with decided = put pid value st.decided }))
 
+  (* a crash erases nothing here: the next incarnation's decision is judged
+     against every earlier one *)
+  let on_crash st ~pid:_ = st
+
   (* a probe's complete decision set is crash-free from here on, so only the
      cross-pid half applies *)
   let on_probe st = function
@@ -507,56 +566,18 @@ module Recoverable_agreement = struct
       Violation { kind = "recoverable-agreement"; liveness = false; message }
 end
 
-(* Recoverable validity: every decision of every incarnation was some
-   process's input.  Same latch as [Validity], checked on every decide —
-   including post-crash re-decisions — under its own kind. *)
-module Recoverable_validity = struct
-  type state = { valid : int -> bool; bad : string option }
-
-  let name = "recoverable-validity"
-  let wants_probes = true
-  let wants_accesses = false
-  let commute_safe = true
-  let symmetric_safe = true
-
-  let init ~n:_ ~inputs =
-    let inputs = Array.copy inputs in
-    { valid = (fun v -> Array.exists (fun i -> i = v) inputs); bad = None }
-
-  let on_step st ~pid:_ = st
-  let on_access st ~pid:_ ~loc:_ ~value:_ = st
-
-  let latch st v =
-    if st.valid v then st
-    else
-      {
-        st with
-        bad =
-          Some (Printf.sprintf "recoverable-validity: %d decided but never proposed" v);
-      }
-
-  let on_decide st ~pid:_ ~value =
-    match st.bad with Some _ -> st | None -> latch st value
-
-  let on_probe st = function
-    | Probe_decided { decisions; _ } when st.bad = None ->
-      List.fold_left (fun st (_, v) -> latch st v) st decisions
-    | _ -> st
-
-  let digest st = match st.bad with Some _ -> 0x7f6 | None -> 23
-
-  let verdict st =
-    match st.bad with
-    | None -> Ok
-    | Some message -> Violation { kind = "recoverable-validity"; liveness = false; message }
-end
-
 let agreement : t = (module Agreement)
-let validity : t = (module Validity)
+let validity : t =
+  (module Validity (struct
+    let kind = "validity"
+  end))
 let solo_termination : t = (module Solo_termination)
 let maxreg_monotonic : t = (module Maxreg_monotonic)
 let recoverable_agreement : t = (module Recoverable_agreement)
-let recoverable_validity : t = (module Recoverable_validity)
+let recoverable_validity : t =
+  (module Validity (struct
+    let kind = "recoverable-validity"
+  end))
 let defaults = [ agreement; validity; solo_termination ]
 
 (* -------------------------------------------------------- combinators -- *)
@@ -576,6 +597,7 @@ let all set : t =
     let on_step st ~pid = Run.step st ~pid
     let on_access st ~pid ~loc ~value = Run.access st ~pid ~loc ~value
     let on_decide st ~pid ~value = Run.decide st ~pid ~value
+    let on_crash st ~pid = Run.crash st ~pid
     let on_probe st outcome = Run.probe st outcome
     let digest = Run.digest
 
@@ -631,6 +653,7 @@ let per_pid (module O : S) : t =
     let on_step st ~pid = route st pid (fun s -> O.on_step s ~pid)
     let on_access st ~pid ~loc ~value = route st pid (fun s -> O.on_access s ~pid ~loc ~value)
     let on_decide st ~pid ~value = route st pid (fun s -> O.on_decide s ~pid ~value)
+    let on_crash st ~pid = route st pid (fun s -> O.on_crash s ~pid)
     let on_probe st outcome = route st (probe_pid outcome) (fun s -> O.on_probe s outcome)
     let digest st = Array.fold_left (fun acc s -> mix acc (O.digest s)) 17 st
 

@@ -1,12 +1,11 @@
 (** Composable checked properties over the exploration event stream.
 
-    The model checker historically verified exactly one hard-coded property —
-    consensus agreement/validity, with solo probes for obstruction-freedom.
-    An {e observer} makes the property pluggable: a finite-state monitor
-    machine that consumes the events of an exploration (process steps, memory
-    accesses, decisions, solo-probe outcomes) and renders a three-way verdict
-    at every visited configuration — safety violation, liveness-under-
-    fairness violation, or ok.
+    The model checker's property is a set of observers: finite-state monitor
+    machines that consume the events of an exploration (process steps, memory
+    accesses, decisions, crashes, solo-probe outcomes) and render a three-way
+    verdict at every visited configuration — safety violation, liveness-under-
+    fairness violation, or ok.  The paper's property, obstruction-free
+    consensus, is {!defaults}.
 
     Observers are driven inline by the exploration engines ({!Explore.run}
     [?observers]): no event values are allocated on the hot path — the engine
@@ -20,11 +19,15 @@
     The memoized engines prune a revisited configuration when its machine
     fingerprint {e and} observer digest were both seen at adequate depth
     (a product construction: the monitor rides along in the state space).
-    For that pruning — and the verdict — to be exact, [digest] must
-    determine the observer's verdict and its future behaviour: two states
-    with equal digests must render equal verdicts now and after any common
-    event suffix.  Latching violations into a sink state (as every built-in
-    observer does) satisfies this trivially on the violation side.
+    For that pruning — and the verdict — to be exact, [digest] together
+    with the machine configuration must determine the observer's verdict
+    and its future behaviour: two states with equal digests, reached at
+    equal configurations, must render equal verdicts now and after any
+    common event suffix.  Latching violations into a sink state (as every
+    built-in observer does) satisfies this trivially on the violation side;
+    an observer whose state is a function of the configuration (like
+    {!agreement}, over the decisions it holds) may give every other state
+    the same digest.
 
     The state-space reductions need per-observer opt-in:
 
@@ -56,8 +59,8 @@ type probe_outcome =
   | Probe_starved of { pid : int; straggler : int }
       (** [pid] decided solo, but [straggler] remained undecided after its
           own bounded solo run — a termination failure of the probe chain. *)
-(** The outcome of one solo probe (the legacy probe chain of
-    {!Explore.run}, run on {!Model.Machine.Make.Scratch}). *)
+(** The outcome of one solo probe (the probe chain of {!Explore.run}, run
+    on {!Model.Machine.Make.Scratch}). *)
 
 val probe_pid : probe_outcome -> int
 (** The probed pid the outcome belongs to. *)
@@ -65,8 +68,8 @@ val probe_pid : probe_outcome -> int
 type verdict =
   | Ok
   | Violation of { kind : string; liveness : bool; message : string }
-      (** [kind] names the violation (it becomes the witness
-          {!Explore.violation_kind}); [liveness] distinguishes
+      (** [kind] names the violation (it becomes the witness kind,
+          {!Explore.witness}); [liveness] distinguishes
           liveness-under-fairness violations from safety violations;
           [message] is the human-readable report. *)
 
@@ -106,11 +109,15 @@ module type S = sig
   val on_decide : state -> pid:int -> value:int -> state
   (** [pid]'s step just decided [value] (fed after {!on_step}). *)
 
+  val on_crash : state -> pid:int -> state
+  (** [pid] crashed and recovered ({!Model.Machine.Make.crash_recover}): its
+      program state, including any decision it held, is lost, and it
+      restarts from the protocol root.  Shared memory survives. *)
+
   val on_probe : state -> probe_outcome -> state
   (** A solo probe ran from the current configuration.  Probe feeding is
       config-local: the engine discards the post-probe state after checking
-      its verdict, mirroring the legacy probes (which never mutate the
-      exploration). *)
+      its verdict, so probes never change the exploration. *)
 
   val digest : state -> int
   (** O(1) digest folded into the transposition key; must determine
@@ -125,25 +132,27 @@ val name : t -> string
 
 (** {2 Built-in observers}
 
-    [agreement] and [validity] are the legacy hard-coded checks of
-    {!Explore} as observers (differentially pinned to the old path by the
-    test suite); [solo_termination] is the legacy probe chain's
-    obstruction-freedom/termination judgment; together
-    ({!defaults}) they reproduce the legacy checker exactly. *)
+    [agreement], [validity] and [solo_termination] together ({!defaults})
+    are the consensus property the paper's protocols must satisfy. *)
 
 val agreement : t
-(** Safety: no two processes decide different values.  Latches on the first
-    disagreement, among scheduled decisions or a probe's decision set. *)
+(** Safety: the decisions a configuration holds agree.  A decision lost to
+    a crash stops counting (compare {!recoverable_agreement}, which judges
+    every incarnation's decision).  The lowest pid's decision is the
+    reference value, and a violation names the lowest pid holding another
+    value.  Latches on the first disagreement, among scheduled decisions or
+    a probe's decision set. *)
 
 val validity : t
-(** Safety: every decided value was some process's input. *)
+(** Safety: every decided value was some process's input.  Each decision is
+    judged when it is made, and so is every decision of a probe's decision
+    set; the first unproposed value latches. *)
 
 val solo_termination : t
 (** Liveness (obstruction-freedom, Section 2 of the paper): every probed
     process decides within its solo fuel, and the probe chain's remaining
     processes terminate.  Wants probes; verdict kinds are
-    ["obstruction-freedom"] and ["termination"], matching the legacy
-    checker. *)
+    ["obstruction-freedom"] and ["termination"]. *)
 
 val lockout : ?fair_bound:int -> ?patience:int -> unit -> t
 (** Liveness under fairness ({!Model.Sched.fair} semantics): a process that
@@ -167,20 +176,21 @@ val maxreg_monotonic : t
 val recoverable_agreement : t
 (** Safety under crash–recovery (Golab, arXiv 1804.10597): decisions agree
     across processes {e and} across incarnations — a process that decides,
-    crashes and re-decides must re-decide the same value.  Refines
-    {!agreement} with which kind of conflict occurred (the cross-incarnation
-    flip is the signature failure of non-recoverable protocols); crash-free
-    it degenerates to plain agreement.  Commute-safe; not symmetric-safe
-    (pid-indexed state). *)
+    crashes and re-decides must re-decide the same value.  Where
+    {!agreement} judges the decisions a configuration holds, this judges
+    every incarnation's decision, and names which kind of conflict occurred
+    (the cross-incarnation flip is the signature failure of non-recoverable
+    protocols); crash-free it degenerates to plain agreement.
+    Commute-safe; not symmetric-safe (pid-indexed state). *)
 
 val recoverable_validity : t
 (** Safety under crash–recovery: every incarnation's decision was some
-    process's input.  {!validity}'s latch under its own verdict kind,
-    applied to post-crash re-decisions too. *)
+    process's input.  {!validity} under its own verdict kind — both judge
+    every decision when it is made, post-crash re-decisions included. *)
 
 val defaults : t list
-(** [[agreement; validity; solo_termination]] — the observer set equivalent
-    to the legacy hard-coded checker. *)
+(** [[agreement; validity; solo_termination]]: obstruction-free consensus,
+    the property {!Explore.run} checks when given no observers. *)
 
 (** {2 Combinators} *)
 
@@ -215,9 +225,9 @@ val of_names : string list -> (t list, string) result
 
     The packed, immutable multi-observer state the exploration engines
     thread through the walk.  One {!Run.t} value corresponds to one
-    configuration; transitions return a new value (physically equal when no
-    member's state changed, so the common stateless case allocates
-    nothing). *)
+    configuration; transitions return a new value — [t] itself when no
+    member's state changed, in which case nothing is allocated.  The digest
+    and verdict are cached, so reading them is O(1). *)
 module Run : sig
   type t
 
@@ -227,6 +237,7 @@ module Run : sig
   val step : t -> pid:int -> t
   val access : t -> pid:int -> loc:int -> value:int option -> t
   val decide : t -> pid:int -> value:int -> t
+  val crash : t -> pid:int -> t
   val probe : t -> probe_outcome -> t
 
   val digest : t -> int

@@ -2,41 +2,49 @@
    cheap protocols, bivalence detection (Lemma 6.4), and the checker's
    ability to catch deliberately broken protocols. *)
 
+(* [Explore.decidable_values] with its verdict flattened to a result, the
+   shape of [Reference.decidable_values_naive]'s *)
+let decidable_values ?solo_fuel ?reduce proto ~inputs ~depth =
+  match Explore.decidable_values ?solo_fuel ?reduce proto ~inputs ~depth with
+  | Explore.Completed vs -> Ok vs
+  | Explore.Falsified f -> Error (Explore.failure_message f)
+  | Explore.Timed_out _ -> Error "timed out"
+
 let ok_stats = function
-  | Explore.Completed (s : Modelcheck.stats) -> s
+  | Explore.Completed (s : Explore.stats) -> s
   | Explore.Falsified f ->
-    Alcotest.fail ("unexpected violation: " ^ Modelcheck.failure_message f)
+    Alcotest.fail ("unexpected violation: " ^ Explore.failure_message f)
   | Explore.Timed_out _ -> Alcotest.fail "unexpected timeout (no deadline given)"
 
 (* 1. Exhaustive verification of one-shot protocols (complete tree). *)
 let test_exhaustive_one_shot () =
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Cas_protocol.protocol
+      (Explore.run ~probe:`Everywhere Consensus.Cas_protocol.protocol
          ~inputs:[| 0; 1 |] ~depth:6)
   in
   Alcotest.(check bool) "cas n=2 complete" false s.truncated;
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Cas_protocol.protocol
+      (Explore.run ~probe:`Everywhere Consensus.Cas_protocol.protocol
          ~inputs:[| 0; 1; 2 |] ~depth:8)
   in
   Alcotest.(check bool) "cas n=3 complete" false s.truncated;
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Intro_protocols.faa2_tas
+      (Explore.run ~probe:`Everywhere Consensus.Intro_protocols.faa2_tas
          ~inputs:[| 0; 1 |] ~depth:6)
   in
   Alcotest.(check bool) "faa2+tas n=2 complete" false s.truncated;
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Intro_protocols.faa2_tas
+      (Explore.run ~probe:`Everywhere Consensus.Intro_protocols.faa2_tas
          ~inputs:[| 1; 0; 1; 0 |] ~depth:10)
   in
   Alcotest.(check bool) "faa2+tas n=4 complete" false s.truncated;
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Intro_protocols.decmul
+      (Explore.run ~probe:`Everywhere Consensus.Intro_protocols.decmul
          ~inputs:[| 0; 1; 1 |] ~depth:12)
   in
   Alcotest.(check bool) "dec+mul n=3 complete" false s.truncated;
@@ -45,7 +53,7 @@ let test_exhaustive_one_shot () =
     (fun inputs ->
       let s =
         ok_stats
-          (Modelcheck.explore ~probe:`Everywhere Consensus.Assignment_protocol.two_process
+          (Explore.run ~probe:`Everywhere Consensus.Assignment_protocol.two_process
              ~inputs ~depth:8)
       in
       Alcotest.(check bool) "2-assignment complete" false s.truncated)
@@ -72,7 +80,7 @@ let test_bounded_loop_protocols () =
   in
   List.iter
     (fun (name, proto, depth) ->
-      let s = ok_stats (Modelcheck.explore ~probe:`Leaves proto ~inputs:[| 0; 1 |] ~depth) in
+      let s = ok_stats (Explore.run ~probe:`Leaves proto ~inputs:[| 0; 1 |] ~depth) in
       Alcotest.(check bool) (name ^ ": explored some tree") true (s.configs > 100))
     protos
 
@@ -81,7 +89,7 @@ let test_three_process_exploration () =
   List.iter
     (fun (name, proto) ->
       let s =
-        ok_stats (Modelcheck.explore ~probe:`Leaves proto ~inputs:[| 2; 0; 1 |] ~depth:8)
+        ok_stats (Explore.run ~probe:`Leaves proto ~inputs:[| 2; 0; 1 |] ~depth:8)
       in
       Alcotest.(check bool) (name ^ " 3 procs") true (s.configs > 0))
     [
@@ -96,7 +104,7 @@ let test_three_process_exploration () =
 let test_initial_bivalence () =
   List.iter
     (fun (name, proto) ->
-      match Modelcheck.decidable_values proto ~inputs:[| 0; 1 |] ~depth:4 with
+      match decidable_values proto ~inputs:[| 0; 1 |] ~depth:4 with
       | Ok vs ->
         Alcotest.(check (list int)) (name ^ ": initially bivalent") [ 0; 1 ] vs
       | Error e -> Alcotest.fail (name ^ ": " ^ e))
@@ -113,7 +121,7 @@ let test_unanimous_univalence () =
   List.iter
     (fun v ->
       match
-        Modelcheck.decidable_values Consensus.Maxreg_protocol.protocol
+        decidable_values Consensus.Maxreg_protocol.protocol
           ~inputs:[| v; v |] ~depth:5
       with
       | Ok vs -> Alcotest.(check (list int)) "only the unanimous value" [ v ] vs
@@ -163,16 +171,16 @@ let broken_nonterminating : Consensus.Proto.t =
 let expect_violation name outcome =
   match outcome with
   | Explore.Falsified _ -> ()
-  | Explore.Completed (_ : Modelcheck.stats) | Explore.Timed_out _ ->
+  | Explore.Completed (_ : Explore.stats) | Explore.Timed_out _ ->
     Alcotest.fail (name ^ ": violation not detected")
 
 let test_catches_broken () =
   expect_violation "disagree"
-    (Modelcheck.explore broken_disagree ~inputs:[| 0; 1 |] ~depth:3);
+    (Explore.run broken_disagree ~inputs:[| 0; 1 |] ~depth:3);
   expect_violation "invalid"
-    (Modelcheck.explore broken_invalid ~inputs:[| 0; 1 |] ~depth:3);
+    (Explore.run broken_invalid ~inputs:[| 0; 1 |] ~depth:3);
   expect_violation "non-terminating (obstruction-freedom probe)"
-    (Modelcheck.explore ~probe:`Everywhere ~solo_fuel:1_000 broken_nonterminating
+    (Explore.run ~probe:`Everywhere ~solo_fuel:1_000 broken_nonterminating
        ~inputs:[| 0; 1 |] ~depth:2)
 
 (* 7. An agreement bug only reachable through a specific interleaving: the
@@ -183,13 +191,13 @@ let test_finds_interleaving_bug () =
     (module V)
   in
   expect_violation "naive maxreg victim"
-    (Modelcheck.explore ~probe:`Everywhere victim ~inputs:[| 0; 1 |] ~depth:6)
+    (Explore.run ~probe:`Everywhere victim ~inputs:[| 0; 1 |] ~depth:6)
 
 (* 8. Stats are sane on a complete exploration: cas n=2 has a known tree. *)
 let test_stats_shape () =
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Never Consensus.Cas_protocol.protocol
+      (Explore.run ~probe:`Never Consensus.Cas_protocol.protocol
          ~inputs:[| 0; 1 |] ~depth:10)
   in
   (* Each process takes exactly one step: configs = 1 root + 2 + 2 = 5. *)
@@ -203,7 +211,7 @@ let test_stats_shape () =
 let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ]
 
 let outcome_class = function
-  | Explore.Completed (_ : Modelcheck.stats) -> "ok"
+  | Explore.Completed (_ : Explore.stats) -> "ok"
   | Explore.Falsified (f : Explore.failure) ->
     "violation:" ^ Explore.kind_name f.Explore.witness.Explore.kind
   | Explore.Timed_out _ -> "timeout"
@@ -211,7 +219,7 @@ let outcome_class = function
 let check_engines_agree ?solo_fuel name proto inputs depth =
   let verdict engine =
     outcome_class
-      (Modelcheck.explore ~probe:`Everywhere ?solo_fuel ~engine proto ~inputs ~depth)
+      (Explore.run ~probe:`Everywhere ?solo_fuel ~engine proto ~inputs ~depth)
   in
   let reference = verdict `Naive in
   List.iter
@@ -376,18 +384,12 @@ let test_replay_rejects_unprobeable () =
   (* broken_nonterminating's p1 decides on its first step, so after
      schedule [1] probing p1 contradicts the contract *)
   let witness probe schedule =
-    { Explore.kind = `Obstruction_freedom; message = "x"; schedule; probe }
+    { Explore.kind = "obstruction-freedom"; message = "x"; schedule; probe }
   in
   let expect_error name w =
-    List.iter
-      (fun observers ->
-        let tag = if observers = [] then "legacy" else "observed" in
-        match Explore.replay ~observers broken_nonterminating ~inputs:[| 0; 1 |] w with
-        | Error _ -> ()
-        | Ok _ ->
-          Alcotest.fail
-            (Printf.sprintf "%s (%s path): unprobeable witness accepted" name tag))
-      [ []; Observer.defaults ]
+    match Explore.replay broken_nonterminating ~inputs:[| 0; 1 |] w with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (name ^ ": unprobeable witness accepted")
   in
   expect_error "decided pid" (witness (Some 1) [ 1 ]);
   expect_error "out of range" (witness (Some 5) []);
@@ -411,19 +413,19 @@ let test_decidable_memo_differential () =
   in
   List.iter
     (fun (name, proto, inputs, depth) ->
-      let memo = Modelcheck.decidable_values proto ~inputs ~depth in
-      let naive = Modelcheck.decidable_values_naive proto ~inputs ~depth in
+      let memo = decidable_values proto ~inputs ~depth in
+      let naive = Reference.decidable_values_naive proto ~inputs ~depth in
       match (memo, naive) with
       | Ok m, Ok n -> Alcotest.(check (list int)) (name ^ ": same value set") n m
       | Error e, _ -> Alcotest.fail (name ^ ": memoized walk failed: " ^ e)
       | _, Error e -> Alcotest.fail (name ^ ": naive walk failed: " ^ e))
     cases;
   let memo =
-    Modelcheck.decidable_values ~solo_fuel:200 broken_nonterminating ~inputs:[| 0; 1 |]
+    decidable_values ~solo_fuel:200 broken_nonterminating ~inputs:[| 0; 1 |]
       ~depth:2
   in
   let naive =
-    Modelcheck.decidable_values_naive ~solo_fuel:200 broken_nonterminating
+    Reference.decidable_values_naive ~solo_fuel:200 broken_nonterminating
       ~inputs:[| 0; 1 |] ~depth:2
   in
   (match (memo, naive) with
@@ -479,7 +481,7 @@ let commute_only_cases =
 let test_reduce_differential () =
   let verdict ?(reduce = Explore.no_reduction) engine proto inputs depth =
     outcome_class
-      (Modelcheck.explore ~probe:`Everywhere ~engine ~reduce proto ~inputs ~depth)
+      (Explore.run ~probe:`Everywhere ~engine ~reduce proto ~inputs ~depth)
   in
   List.iter
     (fun (name, proto, inputs, depth) ->
@@ -521,10 +523,10 @@ let test_reduce_decidable_values () =
   in
   List.iter
     (fun (name, proto, inputs, depth) ->
-      let reference = Modelcheck.decidable_values_naive proto ~inputs ~depth in
+      let reference = Reference.decidable_values_naive proto ~inputs ~depth in
       List.iter
         (fun (rname, reduce) ->
-          match (Modelcheck.decidable_values ~reduce proto ~inputs ~depth, reference) with
+          match (decidable_values ~reduce proto ~inputs ~depth, reference) with
           | Ok got, Ok want ->
             Alcotest.(check (list int))
               (Printf.sprintf "%s: %s value set" name rname)
@@ -606,28 +608,20 @@ let test_deadline_times_out () =
        ~inputs:[| 0; 1 |] ~depth:4
    with
    | Explore.Timed_out _ -> ()
-   | _ -> Alcotest.fail "decidable_values ignored the expired deadline");
-  match
-    Modelcheck.decidable_values ~deadline:(-1.0) Consensus.Maxreg_protocol.protocol
-      ~inputs:[| 0; 1 |] ~depth:4
-  with
-  | Error e ->
-    Alcotest.(check bool) "wrapper flattens the timeout to a message" true
-      (String.length e >= 9 && String.sub e 0 9 = "timed out")
-  | Ok _ -> Alcotest.fail "Modelcheck.decidable_values ignored the expired deadline"
+   | _ -> Alcotest.fail "decidable_values ignored the expired deadline")
 
 let test_deadline_generous_is_invisible () =
   List.iter
     (fun (ename, engine) ->
       let s =
         ok_stats
-          (Modelcheck.explore ~probe:`Everywhere ~engine ~deadline:3600.0
+          (Explore.run ~probe:`Everywhere ~engine ~deadline:3600.0
              Consensus.Cas_protocol.protocol ~inputs:[| 0; 1 |] ~depth:6)
       in
       Alcotest.(check bool) (ename ^ ": complete under deadline") false s.truncated)
     engines;
   expect_violation "disagree under deadline"
-    (Modelcheck.explore ~deadline:3600.0 broken_disagree ~inputs:[| 0; 1 |] ~depth:3)
+    (Explore.run ~deadline:3600.0 broken_disagree ~inputs:[| 0; 1 |] ~depth:3)
 
 let () =
   Alcotest.run "modelcheck"

@@ -1,10 +1,9 @@
-(* Tests for the observer subsystem: the differential pin of the built-in
-   observers against the legacy hard-coded checks, the engine × fingerprint
-   × reduction agreement matrix, the combinators, the registry, and the
-   reduction-soundness gate. *)
+(* Tests for the observer subsystem: the differential pin of the default
+   observer set against the reference checker in [Reference], the engine ×
+   reduction agreement matrix, the combinators, the registry, the
+   reduction-soundness gate, and the allocation behaviour of the runtime. *)
 
 let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ]
-let fp_modes = [ ("flat", `Flat); ("fold", `Fold) ]
 
 (* ------------------------------------------------- violating fixtures -- *)
 
@@ -93,38 +92,65 @@ let outcome_string = function
   | Explore.Timed_out _ -> "timeout"
 
 let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive)
-    ?(reduce = Explore.no_reduction) ?(fingerprint_mode = `Flat) ?(observers = [])
-    ?(shrink = false) proto ~inputs ~depth =
-  Explore.run ~probe ~solo_fuel ~engine ~reduce ~fingerprint_mode ~observers ~shrink
-    proto ~inputs ~depth
+    ?(reduce = Explore.no_reduction) ?(crashes = 0) ?(observers = []) ?(shrink = false)
+    proto ~inputs ~depth =
+  Explore.run ~probe ~solo_fuel ~engine ~reduce ~crashes ~observers ~shrink proto ~inputs
+    ~depth
 
-(* 1. The acceptance pin: over the full registry, the default observer set
-   renders the same verdict — including the witness kind — as the legacy
-   hard-coded checker, under all three engines. *)
+(* 1. The acceptance pin: over the full registry, the broken fixtures and
+   the recovery rows under one crash, the default checker (no observers,
+   which means [Observer.defaults]) renders the reference checker's
+   verdict, including the witness kind, on all three engines — and on the
+   naive engine, whose walk order is the reference's, the exact unshrunk
+   witness. *)
 let test_legacy_differential () =
-  let rows = Hierarchy.rows ~ells:[ 1; 2 ] () in
+  let registry =
+    List.map
+      (fun (row : Hierarchy.row) ->
+        let n = 3 in
+        let inputs =
+          if row.binary_only then Array.init n (fun i -> i land 1)
+          else Array.init n (fun i -> i mod n)
+        in
+        (row.id, row.protocol, inputs, 8, `Leaves, 100_000, 0))
+      (Hierarchy.rows ~ells:[ 1; 2 ] ())
+  in
+  let fixtures =
+    [
+      ("broken-disagree", broken_disagree, [| 0; 1 |], 3, `Leaves, 100_000, 0);
+      ("broken-invalid", broken_invalid, [| 0; 1 |], 3, `Leaves, 100_000, 0);
+      ("broken-spin", broken_nonterminating, [| 0; 1 |], 2, `Everywhere, 1_000, 0);
+      ("rc-tas-naive", Recovery.tas_naive, [| 0; 1 |], 10, `Leaves, 100_000, 1);
+      ("rc-cas", Recovery.cas_durable, [| 0; 1 |], 12, `Leaves, 100_000, 1);
+    ]
+  in
   List.iter
-    (fun (row : Hierarchy.row) ->
-      let n = 3 in
-      let inputs =
-        if row.binary_only then Array.init n (fun i -> i land 1)
-        else Array.init n (fun i -> i mod n)
+    (fun (name, proto, inputs, depth, probe, solo_fuel, crashes) ->
+      let reference = Reference.check ~probe ~solo_fuel ~crashes proto ~inputs ~depth in
+      let expected =
+        match reference with None -> "ok" | Some v -> "violation:" ^ v.Reference.kind
       in
       List.iter
         (fun (ename, engine) ->
-          let outcome observers =
-            outcome_string (run ~engine ~observers row.protocol ~inputs ~depth:8)
-          in
+          let out = run ~probe ~solo_fuel ~engine ~crashes proto ~inputs ~depth in
           Alcotest.(check string)
-            (Printf.sprintf "%s/%s: default observers == legacy" row.id ename)
-            (outcome []) (outcome Observer.defaults))
+            (Printf.sprintf "%s/%s: default checker == reference" name ename)
+            expected (outcome_string out);
+          match (engine, out, reference) with
+          | `Naive, Explore.Falsified f, Some v ->
+            let w = f.Explore.original in
+            Alcotest.(check string) (name ^ ": witness message") v.message w.message;
+            Alcotest.(check (list int))
+              (name ^ ": witness schedule") v.schedule w.schedule;
+            Alcotest.(check (option int)) (name ^ ": witness probe") v.probe w.probe
+          | _ -> ())
         engines)
-    rows
+    (registry @ fixtures)
 
-(* 2. Each built-in observer renders one verdict across engines ×
-   fingerprint modes × its sound reductions, on a clean protocol and on the
-   protocol built to violate it.  Symmetric reduction is exercised only
-   where the protocol certifies pid-symmetric AND the observer permits it. *)
+(* 2. Each built-in observer renders one verdict across engines × its sound
+   reductions, on a clean protocol and on the protocol built to violate it.
+   Symmetric reduction is exercised only where the protocol certifies
+   pid-symmetric AND the observer permits it. *)
 let matrix_cases =
   (* (label, proto, inputs, depth, probe, solo_fuel, symmetric_certifiable) *)
   [
@@ -168,19 +194,15 @@ let test_engine_matrix () =
           List.iter
             (fun (ename, engine) ->
               List.iter
-                (fun (fname, fingerprint_mode) ->
-                  List.iter
-                    (fun (rname, reduce) ->
-                      if rname <> "symmetric" || certifiable then
-                        Alcotest.(check string)
-                          (Printf.sprintf "%s on %s: %s/%s/%s" O.name cname ename
-                             fname rname)
-                          reference
-                          (outcome_string
-                             (run ~probe ~solo_fuel ~engine ~reduce ~fingerprint_mode
-                                ~observers:[ obs ] proto ~inputs ~depth)))
-                    reductions)
-                fp_modes)
+                (fun (rname, reduce) ->
+                  if rname <> "symmetric" || certifiable then
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s on %s: %s/%s" O.name cname ename rname)
+                      reference
+                      (outcome_string
+                         (run ~probe ~solo_fuel ~engine ~reduce ~observers:[ obs ] proto
+                            ~inputs ~depth)))
+                reductions)
             engines)
         matrix_cases)
     observers
@@ -348,6 +370,52 @@ let test_observer_witness_replays () =
   | Explore.Falsified _ | Explore.Timed_out _ ->
     Alcotest.fail "deepen with observers failed on cas"
 
+(* 8. Agreement judges the decisions the configuration holds: a decision
+   lost to a crash stops counting, and a conflict names the lowest pid
+   holding a value other than the lowest pid's, whatever the order the
+   decisions were made in.  Recoverable agreement still sees the flip. *)
+let test_agreement_held_decisions () =
+  let verdict set events =
+    let o = Observer.Run.make set ~n:3 ~inputs:[| 0; 1; 2 |] in
+    Observer.Run.verdict (List.fold_left (fun o f -> f o) o events)
+  in
+  let decide pid value o = Observer.Run.decide o ~pid ~value in
+  let crash pid o = Observer.Run.crash o ~pid in
+  let message = function Some (_, _, m) -> m | None -> "ok" in
+  let conflict = "agreement: process 1 decided 0 but 1 was also decided" in
+  Alcotest.(check string) "p0 first" conflict
+    (message (verdict [ Observer.agreement ] [ decide 0 1; decide 1 0 ]));
+  Alcotest.(check string) "p1 first" conflict
+    (message (verdict [ Observer.agreement ] [ decide 1 0; decide 0 1 ]));
+  Alcotest.(check string) "p2 first"
+    "agreement: process 2 decided 1 but 0 was also decided"
+    (message (verdict [ Observer.agreement ] [ decide 1 0; decide 2 1 ]));
+  Alcotest.(check string) "a lost decision stops counting" "ok"
+    (message (verdict [ Observer.agreement ] [ decide 0 1; crash 0; decide 1 0 ]));
+  Alcotest.(check string) "a crash of an undecided process changes nothing" conflict
+    (message (verdict [ Observer.agreement ] [ decide 0 1; crash 1; decide 1 0 ]));
+  Alcotest.(check bool) "recoverable agreement remembers it" true
+    (verdict [ Observer.recoverable_agreement ] [ decide 0 1; crash 0; decide 1 0 ]
+    <> None)
+
+(* 9. [Run] allocates nothing for an event no member reacts to, and reads
+   its cached digest and verdict for free — the engines do all three at
+   every step and configuration.  Wall time cannot resolve this, so it is
+   counted in minor words. *)
+let test_unchanged_members_allocate_nothing () =
+  let o = Observer.Run.make Observer.defaults ~n:3 ~inputs:[| 0; 1; 2 |] in
+  let cur = ref o in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    cur := Observer.Run.step (Observer.Run.crash !cur ~pid:(i mod 3)) ~pid:(i mod 3);
+    ignore (Sys.opaque_identity (Observer.Run.digest !cur));
+    ignore (Sys.opaque_identity (Observer.Run.verdict !cur))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "no state changed" true (!cur == o);
+  if words >= 100. then
+    Alcotest.failf "%.0f minor words allocated by 20000 unobserved events" words
+
 let () =
   Alcotest.run "observer"
     [
@@ -355,8 +423,7 @@ let () =
         [
           Alcotest.test_case "defaults == legacy over the registry" `Quick
             test_legacy_differential;
-          Alcotest.test_case "engine x fingerprint x reduction matrix" `Quick
-            test_engine_matrix;
+          Alcotest.test_case "engine x reduction matrix" `Quick test_engine_matrix;
         ] );
       ( "violations",
         [
@@ -364,6 +431,8 @@ let () =
             test_builtin_violations;
           Alcotest.test_case "observer witnesses replay" `Quick
             test_observer_witness_replays;
+          Alcotest.test_case "agreement judges held decisions" `Quick
+            test_agreement_held_decisions;
         ] );
       ( "combinators",
         [
@@ -372,4 +441,9 @@ let () =
         ] );
       ( "soundness",
         [ Alcotest.test_case "reduction gate" `Quick test_reduction_gate ] );
+      ( "runtime",
+        [
+          Alcotest.test_case "unchanged members allocate nothing" `Quick
+            test_unchanged_members_allocate_nothing;
+        ] );
     ]

@@ -12,7 +12,9 @@
    is the partition they induce over reachable configurations: two configs
    get equal flat fingerprints iff they get equal slow fingerprints.  We
    enumerate the schedule tree of every registry protocol and check both
-   directions, for the plain and the canonical (pid-symmetric) variants. *)
+   directions, for the plain and the canonical (pid-symmetric) variants —
+   and the crash-bearing trees of the recovery rows, where recovery epochs
+   enter both fingerprints. *)
 
 let check_partition name pairs =
   let by_flat = Hashtbl.create 97 and by_slow = Hashtbl.create 97 in
@@ -31,8 +33,9 @@ let check_partition name pairs =
     pairs
 
 (* All (flat, slow, canonical-flat, canonical-slow) fingerprint quadruples of
-   configurations reachable within [depth] steps, capped at [cap] configs. *)
-let fingerprint_quads (module P : Consensus.Proto.S) ~inputs ~depth ~cap =
+   configurations reachable within [depth] steps and [crashes]
+   crash–recoveries, capped at [cap] configs. *)
+let fingerprint_quads ?(crashes = 0) (module P : Consensus.Proto.S) ~inputs ~depth ~cap =
   let module M = Model.Machine.Make (P.I) in
   let n = Array.length inputs in
   let root =
@@ -48,29 +51,37 @@ let fingerprint_quads (module P : Consensus.Proto.S) ~inputs ~depth ~cap =
           M.canonical_fingerprint ~inputs cfg,
           M.slow_canonical_fingerprint ~inputs cfg )
         :: !out;
-      if d > 0 then List.iter (fun pid -> go (d - 1) (M.step cfg pid)) (M.running cfg)
+      if d > 0 then begin
+        List.iter (fun pid -> go (d - 1) (M.step cfg pid)) (M.running cfg);
+        if M.crashes cfg < crashes then
+          List.iter (fun pid -> go (d - 1) (M.crash_recover cfg pid)) (M.crashable cfg)
+      end
     end
   in
   go depth root;
   !out
 
 let test_fingerprint_partition_registry () =
+  let check_row ?crashes ~depth ~cap (row : Hierarchy.row) =
+    List.iter
+      (fun inputs ->
+        let quads = fingerprint_quads ?crashes row.protocol ~inputs ~depth ~cap in
+        Alcotest.(check bool)
+          (row.id ^ ": enumerated some configurations")
+          true
+          (List.length quads > 1);
+        check_partition (row.id ^ " plain") (List.map (fun (f, s, _, _) -> (f, s)) quads);
+        check_partition (row.id ^ " canonical")
+          (List.map (fun (_, _, f, s) -> (f, s)) quads))
+      (* duplicate inputs make the canonical quotient non-trivial *)
+      [ [| 0; 1 |]; [| 1; 1 |] ]
+  in
+  List.iter (check_row ~depth:4 ~cap:400) (Hierarchy.rows ());
   List.iter
     (fun (row : Hierarchy.row) ->
-      List.iter
-        (fun inputs ->
-          let quads = fingerprint_quads row.protocol ~inputs ~depth:4 ~cap:400 in
-          Alcotest.(check bool)
-            (row.id ^ ": enumerated some configurations")
-            true
-            (List.length quads > 1);
-          check_partition (row.id ^ " plain")
-            (List.map (fun (f, s, _, _) -> (f, s)) quads);
-          check_partition (row.id ^ " canonical")
-            (List.map (fun (_, _, f, s) -> (f, s)) quads))
-        (* duplicate inputs make the canonical quotient non-trivial *)
-        [ [| 0; 1 |]; [| 1; 1 |] ])
-    (Hierarchy.rows ())
+      if String.starts_with ~prefix:"rc-" row.id then
+        check_row ~crashes:2 ~depth:8 ~cap:3000 row)
+    (Hierarchy.rows ~recovery:true ())
 
 (* Init-write aliasing: a location explicitly holding the initial value and
    an untouched location must fingerprint identically — in both the flat and
@@ -216,12 +227,13 @@ let test_scratch_undecided () =
 
 (* ------------------------------------------------------------------ *)
 (* Engine differential: verdicts, witness schedules and decidable-value
-   sets must agree across engines, reductions and fingerprint modes. *)
+   sets must agree across engines and reductions, and with the references
+   in [Reference]. *)
 
 let verdict_kind = function
   | Explore.Completed _ -> "completed"
   | Explore.Timed_out _ -> "timeout"
-  | Explore.Falsified (f : Explore.failure) -> Explore.kind_name f.witness.kind
+  | Explore.Falsified (f : Explore.failure) -> f.witness.kind
 
 (* rw's writes embed the writer's pid, so it is *not* pid-symmetric and the
    symmetric reduction rightly refuses it — only the certified protocols get
@@ -233,7 +245,7 @@ let reductions_for ~symmetric_ok =
   ]
   @ if symmetric_ok then [ ("full", Explore.full_reduction) ] else []
 
-let test_engine_fingerprint_differential () =
+let test_engine_differential () =
   let protos =
     [
       ("rw", Consensus.Rw_protocol.protocol, [| 0; 1; 1 |], 6, false);
@@ -251,24 +263,19 @@ let test_engine_fingerprint_differential () =
         (fun (ename, engine) ->
           List.iter
             (fun (rname, reduce) ->
-              List.iter
-                (fun (fname, fp) ->
-                  let v =
-                    verdict_kind
-                      (Explore.run ~probe:`Leaves ~engine ~reduce
-                         ~fingerprint_mode:fp proto ~inputs ~depth)
-                  in
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s: %s/%s/%s verdict" name ename rname fname)
-                    reference v)
-                [ ("flat", `Flat); ("fold", `Fold) ])
+              let v =
+                verdict_kind
+                  (Explore.run ~probe:`Leaves ~engine ~reduce proto ~inputs ~depth)
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s/%s verdict" name ename rname)
+                reference v)
             (reductions_for ~symmetric_ok))
         [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ])
     protos
 
-(* Broken protocols: both fingerprint modes must find the same violation
-   kind, and the shrunk witness schedule must replay to that violation in
-   either mode. *)
+(* A broken protocol: the memo engine finds the agreement violation, and the
+   shrunk witness schedule replays to it. *)
 let broken_disagree : Consensus.Proto.t =
   (module struct
     module I = Isets.Rw
@@ -278,29 +285,19 @@ let broken_disagree : Consensus.Proto.t =
     let proc ~n:_ ~pid ~input:_ = Model.Proc.return pid
   end)
 
-let test_witness_schedule_differential () =
+let test_witness_replays () =
   let fail_of = function
     | Explore.Falsified (f : Explore.failure) -> f
     | _ -> Alcotest.fail "expected a violation"
   in
-  List.iter
-    (fun (fname, fp) ->
-      let f =
-        fail_of
-          (Explore.run ~engine:`Memo ~fingerprint_mode:fp broken_disagree
-             ~inputs:[| 0; 1 |] ~depth:3)
-      in
-      Alcotest.(check string)
-        (fname ^ ": violation kind")
-        "agreement"
-        (Explore.kind_name f.witness.kind);
-      match Explore.replay broken_disagree ~inputs:[| 0; 1 |] f.witness with
-      | Ok r ->
-        Alcotest.(check bool)
-          (fname ^ ": witness replays to a violation")
-          true (r.violation <> None)
-      | Error e -> Alcotest.failf "%s: replay failed: %s" fname e)
-    [ ("flat", `Flat); ("fold", `Fold) ]
+  let f =
+    fail_of (Explore.run ~engine:`Memo broken_disagree ~inputs:[| 0; 1 |] ~depth:3)
+  in
+  Alcotest.(check string) "violation kind" "agreement" f.witness.kind;
+  match Explore.replay broken_disagree ~inputs:[| 0; 1 |] f.witness with
+  | Ok r ->
+    Alcotest.(check bool) "witness replays to a violation" true (r.violation <> None)
+  | Error e -> Alcotest.failf "replay failed: %s" e
 
 let test_decidable_values_differential () =
   List.iter
@@ -309,22 +306,19 @@ let test_decidable_values_differential () =
         | Explore.Completed vs -> List.sort_uniq compare vs
         | _ -> Alcotest.fail (name ^ ": decidable_values did not complete")
       in
-      let reference = values (Explore.decidable_values ~memo:false proto ~inputs ~depth) in
+      let reference =
+        match Reference.decidable_values_naive proto ~inputs ~depth with
+        | Ok vs -> vs
+        | Error e -> Alcotest.fail (name ^ ": reference walk failed: " ^ e)
+      in
       Alcotest.(check bool) (name ^ ": bivalent") true (List.length reference >= 2);
       List.iter
-        (fun (fname, fp) ->
-          List.iter
-            (fun (rname, reduce) ->
-              let vs =
-                values
-                  (Explore.decidable_values ~memo:true ~reduce ~fingerprint_mode:fp
-                     proto ~inputs ~depth)
-              in
-              Alcotest.(check (list int))
-                (Printf.sprintf "%s: %s/%s decidable set" name fname rname)
-                reference vs)
-            (reductions_for ~symmetric_ok))
-        [ ("flat", `Flat); ("fold", `Fold) ])
+        (fun (rname, reduce) ->
+          let vs = values (Explore.decidable_values ~reduce proto ~inputs ~depth) in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: %s decidable set" name rname)
+            reference vs)
+        (reductions_for ~symmetric_ok))
     [
       ("rw", Consensus.Rw_protocol.protocol, [| 0; 1; 1 |], 5, false);
       ("maxreg", Consensus.Maxreg_protocol.protocol, [| 0; 1; 1 |], 5, true);
@@ -581,11 +575,10 @@ let () =
         ] );
       ( "engines",
         [
-          Alcotest.test_case "verdicts across engines x reductions x fp modes" `Slow
-            test_engine_fingerprint_differential;
-          Alcotest.test_case "witness schedules across fp modes" `Quick
-            test_witness_schedule_differential;
-          Alcotest.test_case "decidable-value sets across fp modes" `Slow
+          Alcotest.test_case "verdicts across engines x reductions" `Slow
+            test_engine_differential;
+          Alcotest.test_case "memo witness replays" `Quick test_witness_replays;
+          Alcotest.test_case "decidable-value sets vs naive reference" `Slow
             test_decidable_values_differential;
         ] );
       ( "transposition",

@@ -145,8 +145,7 @@ let test_falsify_tas_naive () =
           ~inputs:[| 0; 1 |] ~depth:10
       with
       | Explore.Falsified f ->
-        Alcotest.(check bool) (ename ^ ": agreement kind") true
-          (f.witness.kind = `Agreement);
+        Alcotest.(check string) (ename ^ ": agreement kind") "agreement" f.witness.kind;
         Alcotest.(check bool) (ename ^ ": witness reproduced") true f.reproduced;
         Alcotest.(check bool) (ename ^ ": witness contains a crash") true
           (List.exists Explore.is_crash f.witness.schedule);
@@ -156,12 +155,10 @@ let test_falsify_tas_naive () =
           (List.length f.witness.schedule <= List.length f.original.schedule);
         (* the witness replays to the same violation *)
         (match Explore.replay Recovery.tas_naive ~inputs:[| 0; 1 |] f.witness with
-         | Ok { violation = Some (`Agreement, _); _ } -> ()
+         | Ok { violation = Some ("agreement", _); _ } -> ()
          | Ok { violation; _ } ->
            Alcotest.failf "%s: replay found %s" ename
-             (match violation with
-              | None -> "no violation"
-              | Some (k, _) -> Explore.kind_name k)
+             (match violation with None -> "no violation" | Some (k, _) -> k)
          | Error e -> Alcotest.failf "%s: replay invalid: %s" ename e);
         (* rendered witnesses mark crash entries *)
         let rendered = Format.asprintf "%a" Explore.pp_witness f.witness in
@@ -224,7 +221,7 @@ let test_rc_cas_n3_and_observers () =
    | Explore.Falsified f ->
      Alcotest.(check bool) "recoverable observer catches the flip" true
        (match f.witness.kind with
-        | `Observer ("recoverable-agreement" | "recoverable-validity") -> true
+        | "recoverable-agreement" | "recoverable-validity" -> true
         | _ -> false)
    | Explore.Completed _ -> Alcotest.fail "observers missed the tas-naive flip"
    | Explore.Timed_out _ -> Alcotest.fail "observer run timed out");
@@ -238,9 +235,8 @@ let test_rc_cas_n3_and_observers () =
   | Explore.Timed_out _ -> Alcotest.fail "rc-cas observer run timed out"
 
 (* 6. Crash-free identity: a zero budget leaves verdicts and every counter
-   exactly as a run without the [crashes] argument; and the flat incremental
-   fingerprint agrees with the from-scratch fold on crashy state spaces. *)
-let test_crash_free_identity_and_fp_differential () =
+   exactly as a run without the [crashes] argument. *)
+let test_crash_free_identity () =
   let stats_of = function
     | Explore.Completed (s : Explore.stats) ->
       (s.configs, s.probes, s.truncated, s.dedup_hits, s.sleep_pruned)
@@ -262,23 +258,45 @@ let test_crash_free_identity_and_fp_differential () =
       ("cas", Consensus.Cas_protocol.protocol, 8);
       ("rw", Consensus.Rw_protocol.protocol, 8);
       ("rc-cas", Recovery.cas_durable, 10);
-    ];
-  (* flat vs fold fingerprints partition crashy state spaces identically *)
+    ]
+
+(* 6b. The default checker judges the decisions a configuration holds: a
+   decision lost to a crash stops counting.  Pinned by exact counts and
+   witnesses, with no observers and with [Observer.defaults] alike — a
+   checker that judged every decision ever made would explore rc-cas
+   differently and name another conflict in rc-tas-naive. *)
+let test_held_decisions_under_crashes () =
   List.iter
-    (fun (name, crashes, depth) ->
-      let configs mode =
-        match
-          Explore.run ~engine:`Memo ~probe:`Never ~crashes ~fingerprint_mode:mode
-            Recovery.cas_durable ~inputs:[| 0; 1 |] ~depth
-        with
-        | Explore.Completed (s : Explore.stats) -> s.configs
-        | Explore.Falsified f -> -1 - List.length f.original.schedule
-        | Explore.Timed_out _ -> Alcotest.fail "timed out"
-      in
-      Alcotest.(check int)
-        (name ^ ": flat == fold under crashes")
-        (configs `Fold) (configs `Flat))
-    [ ("rc-cas-1crash", 1, 12); ("rc-cas-2crash", 2, 10) ]
+    (fun (label, observers) ->
+      (match
+         Explore.run ~engine:`Memo ~probe:`Leaves ~crashes:2 ~observers
+           Recovery.cas_durable ~inputs:[| 0; 1 |] ~depth:14
+       with
+       | Explore.Completed s ->
+         Alcotest.(check int) (label ^ ": rc-cas configs") 835 s.configs;
+         Alcotest.(check int) (label ^ ": rc-cas dedup hits") 770 s.dedup_hits
+       | Explore.Falsified f ->
+         Alcotest.failf "%s: rc-cas falsified: %s" label (Explore.failure_message f)
+       | Explore.Timed_out _ -> Alcotest.failf "%s: rc-cas timed out" label);
+      List.iter
+        (fun (ename, engine) ->
+          match
+            Explore.run ~engine ~probe:`Leaves ~crashes:1 ~observers Recovery.tas_naive
+              ~inputs:[| 0; 1 |] ~depth:10
+          with
+          | Explore.Falsified f ->
+            List.iter
+              (fun (which, (w : Explore.witness)) ->
+                let tag = Printf.sprintf "%s/%s %s witness" label ename which in
+                Alcotest.(check string) (tag ^ " message")
+                  "agreement: process 1 decided 0 but 1 was also decided" w.message;
+                Alcotest.(check (list int))
+                  (tag ^ " schedule") [ 0; 0; 1; 1; 1; -1; 0; 0; 0 ] w.schedule)
+              [ ("found", f.original); ("shrunk", f.witness) ]
+          | Explore.Completed _ | Explore.Timed_out _ ->
+            Alcotest.failf "%s/%s: rc-tas-naive not falsified" label ename)
+        [ ("naive", `Naive); ("memo", `Memo) ])
+    [ ("no observers", []); ("defaults", Observer.defaults) ]
 
 (* 7. The registry rows: rc- rows are opt-in and findable. *)
 let test_registry_rows () =
@@ -322,8 +340,9 @@ let () =
           Alcotest.test_case "falsify rc-tas-naive" `Quick test_falsify_tas_naive;
           Alcotest.test_case "certify rc-cas" `Quick test_certify_rc_cas;
           Alcotest.test_case "n=3 and observers" `Quick test_rc_cas_n3_and_observers;
-          Alcotest.test_case "crash-free identity" `Quick
-            test_crash_free_identity_and_fp_differential;
+          Alcotest.test_case "crash-free identity" `Quick test_crash_free_identity;
+          Alcotest.test_case "held decisions under crashes" `Quick
+            test_held_decisions_under_crashes;
         ] );
       ( "registry", [ Alcotest.test_case "rc rows" `Quick test_registry_rows ] );
     ]
