@@ -19,10 +19,18 @@
      hold.  Unlike the throughput floor this is exact equality: the
      exploration is deterministic, so a single extra configuration means
      the crash budget leaked into crash-free search.
+   - with --campaign: a fresh full (non-smoke) BENCH_campaign.json
+     disagrees with the committed one — every task fingerprint must carry
+     the same record apart from [elapsed] (status, counters, stress
+     extras), and the cold run's [cold_elapsed] must stay within
+     [floor_divisor] times the committed one.  Unlike the MC floor this
+     times a whole campaign, reduced tasks included.
 
    Usage: perf_gate --baseline <committed MC json> \
                     --current <fresh MC json> --reduce <fresh RED json> \
-                    [--crash <fresh CRASH json>] *)
+                    [--crash <fresh CRASH json>] \
+                    [--campaign-baseline <committed CAMP json> \
+                     --campaign <fresh CAMP json>] *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("perf-gate: " ^ s); exit 2) fmt
 
@@ -176,13 +184,78 @@ let check_crash_free_identity ~baseline crash_json =
      Printf.printf "FAIL crash bench reported %d unexpected verdict(s)\n" k);
   !failures
 
+(* ------------------------------------------------ campaign identity -- *)
+
+let records_by_task json =
+  let records =
+    match Campaign.Json.(get_list (member "records" json)) with
+    | Some l -> l
+    | None -> die "no \"records\" array in campaign bench json"
+  in
+  let by_task = Hashtbl.create 64 in
+  List.iter
+    (fun j ->
+      match Campaign.Record.of_json j with
+      | Ok r -> Hashtbl.replace by_task r.Campaign.Record.task r
+      | Error e -> die "campaign bench record: %s" e)
+    records;
+  by_task
+
+let check_campaign ~baseline current =
+  if Campaign.Json.(get_bool (member "smoke" current)) <> Some false then
+    die "the campaign check needs a full (non-smoke) CAMP run";
+  let base = records_by_task baseline and fresh = records_by_task current in
+  let untimed r =
+    Campaign.Json.to_string
+      (Campaign.Record.to_json { r with Campaign.Record.elapsed = 0. })
+  in
+  let failures = ref 0 in
+  let fail fmt =
+    Printf.ksprintf (fun s -> incr failures; print_endline ("FAIL " ^ s)) fmt
+  in
+  Hashtbl.iter
+    (fun task r ->
+      match Hashtbl.find_opt fresh task with
+      | None ->
+        fail "task %s (%s n=%d) missing from the fresh run" task r.Campaign.Record.row r.n
+      | Some r' ->
+        if untimed r <> untimed r' then
+          fail "task %s differs:\n  committed %s\n  fresh     %s" task (untimed r)
+            (untimed r'))
+    base;
+  Hashtbl.iter
+    (fun task r ->
+      if not (Hashtbl.mem base task) then
+        fail "task %s (%s n=%d) is not in the committed run" task r.Campaign.Record.row r.n)
+    fresh;
+  if !failures = 0 then
+    Printf.printf "ok   %d task fingerprints: status and counts = committed baseline\n"
+      (Hashtbl.length base);
+  let elapsed j =
+    match Campaign.Json.(get_float (member "cold_elapsed" j)) with
+    | Some t -> t
+    | None -> die "no \"cold_elapsed\" in campaign bench json"
+  in
+  let committed = elapsed baseline and cold = elapsed current in
+  let ceiling = committed *. floor_divisor in
+  if cold > ceiling then
+    fail "cold campaign took %.3f s > %.3f s (committed %.3f s x %.0f)" cold ceiling
+      committed floor_divisor
+  else
+    Printf.printf "ok   cold campaign %.3f s <= %.3f s (committed %.3f s x %.0f)\n" cold
+      ceiling committed floor_divisor;
+  !failures
+
 let () =
   let baseline = ref "" and current = ref "" and reduce = ref "" and crash = ref "" in
+  let campaign_baseline = ref "" and campaign = ref "" in
   let rec parse = function
     | "--baseline" :: v :: rest -> baseline := v; parse rest
     | "--current" :: v :: rest -> current := v; parse rest
     | "--reduce" :: v :: rest -> reduce := v; parse rest
     | "--crash" :: v :: rest -> crash := v; parse rest
+    | "--campaign-baseline" :: v :: rest -> campaign_baseline := v; parse rest
+    | "--campaign" :: v :: rest -> campaign := v; parse rest
     | [] -> ()
     | a :: _ -> die "unknown argument %s" a
   in
@@ -190,7 +263,9 @@ let () =
   if !baseline = "" || !current = "" || !reduce = "" then
     die
       "usage: perf_gate --baseline <mc.json> --current <mc.json> --reduce <red.json> \
-       [--crash <crash.json>]";
+       [--crash <crash.json>] [--campaign-baseline <camp.json> --campaign <camp.json>]";
+  if (!campaign_baseline = "") <> (!campaign = "") then
+    die "--campaign-baseline and --campaign go together";
   print_endline "== reduction domination (RED rows) ==";
   let f1 = check_reduction_domination (read_json !reduce) in
   print_endline "== memoized throughput floor (MC rows) ==";
@@ -204,8 +279,16 @@ let () =
       check_crash_free_identity ~baseline:(read_json !baseline) (read_json !crash)
     end
   in
-  if f1 + f2 + f3 > 0 then begin
-    Printf.printf "perf-gate: %d failure(s)\n" (f1 + f2 + f3);
+  let f4 =
+    if !campaign = "" then 0
+    else begin
+      print_endline "== campaign identity and cold time (CAMP vs committed baseline) ==";
+      check_campaign ~baseline:(read_json !campaign_baseline) (read_json !campaign)
+    end
+  in
+  let failures = f1 + f2 + f3 + f4 in
+  if failures > 0 then begin
+    Printf.printf "perf-gate: %d failure(s)\n" failures;
     exit 1
   end;
   print_endline "perf-gate: all checks passed"

@@ -31,10 +31,6 @@
      [Decide] node is a static solo-termination red flag
      ([decision-unreachable]) — the CFG shadow of the §2 obstruction-freedom
      observer.
-   - {b Issued-op summary}: the ops a protocol actually issues, typed
-     ({!Issued}), feed the sleep-set filter's per-run commutation matrix so
-     it consults a protocol-restricted table instead of interning lazily
-     mid-exploration.
 
    An incomplete analysis (truncated graph, Top location, or no fixpoint
    within [rounds_cap]) still yields the graph and footprints as evidence,
@@ -403,21 +399,3 @@ let lint_findings ?declared (a : t) =
          a.n
          (Option.value a.undecided_example ~default:"?"));
   List.rev !acc
-
-(* ------------------------------------------------ typed issued-op view -- *)
-
-(* The typed issued-op summary for {!Explore}'s sleep-set matrices: built
-   under the sampled alphabet only (feasibility does not matter — the matrix
-   is consulted per op pair, and missing ops fall back to lazy interning),
-   with small budgets so it never rivals the exploration it accelerates. *)
-module Issued (P : Consensus.Proto.S) = struct
-  module C = Cfg.Make (P)
-
-  let ops ~n ~inputs : P.I.op list =
-    match
-      C.build ~sig_depth:1 ~max_sig_depth:2 ~max_nodes:2_048 ~work_budget:200_000
-        ~results:(C.sampled_alphabet ()) ~n ~inputs ()
-    with
-    | g -> g.C.issued
-    | exception _ -> []
-end

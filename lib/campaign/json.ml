@@ -36,7 +36,10 @@ let float_literal f =
   else
     (* shortest representation that round-trips; fall back to 17 digits *)
     let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    (* a large integral float (2^53, say) prints as bare digits, which
+       [of_string] would read back as an [Int] *)
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
 let nonfinite_sentinel f =
   if Float.is_nan f then Some "NaN"

@@ -355,15 +355,9 @@ module Run (P : Consensus.Proto.S) = struct
      [indep cfg p q]: whether the atomic steps [p] and [q] are poised at
      are independent — every pair of accesses is to distinct locations or
      commutes on the shared one.  Only meaningful when both are poised.
-
-     [seed] pre-interns the ops the protocol statically issues (the CFG
-     summary of {!Analysis.Absint.Issued}), so the matrix starts
-     protocol-restricted and complete instead of growing lazily
-     mid-exploration.  Purely a warm start: an op the seed missed still
-     interns lazily, and every entry is computed by the same [P.I.commutes],
-     so the independence relation — and hence the explored configuration
-     set — is identical with or without it. *)
-  let make_independent ?(seed = []) () =
+     The matrix fills lazily: an op is interned, and its row and column
+     computed, the first time the walk meets it. *)
+  let make_independent () =
     let module OI = Model.Intern.Poly (struct
       type t = P.I.op
     end) in
@@ -397,7 +391,6 @@ module Run (P : Consensus.Proto.S) = struct
       i
     in
     let commutes_id i j = Bytes.get !mat ((i * !cap) + j) = '\001' in
-    List.iter (fun o -> ignore (op_id o)) seed;
     fun cfg p q ->
       match (M.poised cfg p, M.poised cfg q) with
       | Some ap, Some aq ->
@@ -407,18 +400,6 @@ module Run (P : Consensus.Proto.S) = struct
             List.for_all (fun (l2, o2) -> l1 <> l2 || commutes_id i1 (op_id o2)) aq)
           ap
       | _ -> false
-
-  (* The ops this protocol statically issues at these inputs, from the CFG
-     issued-op summary — the [seed] for {!make_independent}.  Only computed
-     when the sleep-set filter will actually consult the matrix; any failure
-     of the static analysis degrades to the unseeded lazy path. *)
-  let static_ops ~reduce ~inputs =
-    if not reduce.commute then []
-    else
-      let module S = Analysis.Absint.Issued (P) in
-      let n = Array.length inputs in
-      (try S.ops ~n ~inputs:(List.sort_uniq compare (Array.to_list inputs))
-       with _ -> [])
 
   (* The sibling loop shared by full visits and partial revisits.  [inter]
      restricts which transitions still need exploring: a pid outside it was
@@ -630,9 +611,6 @@ module Run (P : Consensus.Proto.S) = struct
        balance); the cap keeps one slow batch from starving the rest. *)
     let batch = Stdlib.max 1 (Stdlib.min 16 (len / (domains * 8))) in
     let table = Some (Transposition.create ~concurrent:true ()) in
-    (* computed once, outside the domains: each worker's matrix is its own,
-       but the static summary is shared *)
-    let seed = static_ops ~reduce ~inputs in
     let next_item = Atomic.make 0 in
     let stopped = Atomic.make false in
     let timed = Atomic.make false in
@@ -647,7 +625,7 @@ module Run (P : Consensus.Proto.S) = struct
          engine's wall clock when domains exceed cores. *)
       Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
       let wc = fresh () in
-      let indep = make_independent ~seed () in
+      let indep = make_independent () in
       (* the deadline stops a worker exactly like a sibling's violation does;
          [timed] remembers which of the two it was *)
       let stop () =
@@ -864,7 +842,7 @@ module Run (P : Consensus.Proto.S) = struct
      behaviour, hence equal decidable-value contributions. *)
   let decidable ~reduce ~crash_budget ~solo_fuel ~inputs ~stop ~obs c cfg depth =
     let fpw = fingerprint_words_fn ~reduce ~inputs in
-    let indep = make_independent ~seed:(static_ops ~reduce ~inputs) () in
+    let indep = make_independent () in
     let table = Transposition.create ~concurrent:false () in
     let seen = Hashtbl.create 7 in
     let rec go cfg d path sleep obs =
@@ -932,15 +910,14 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
   let fpw = R.fingerprint_words_fn ~reduce ~inputs in
   let result =
     try
-      let seed = R.static_ops ~reduce ~inputs in
       (match engine with
        | `Naive ->
          R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~table:None ~fpw
-           ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
+           ~indep:(R.make_independent ()) ~stop:past ~obs c root depth []
        | `Memo ->
          R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel
            ~table:(Some (Transposition.create ~concurrent:false ())) ~fpw
-           ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
+           ~indep:(R.make_independent ()) ~stop:past ~obs c root depth []
        | `Parallel k ->
          R.parallel ~reduce ~crash_budget:crashes ~domains:k ~probe ~solo_fuel ~inputs
            ~past ~obs c root depth);

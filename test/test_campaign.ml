@@ -46,6 +46,8 @@ let sample_json =
         ("int", Int (-42));
         ("float", Float 1.5);
         ("big", Float 6.02214076e23);
+        (* prints as bare digits under %.17g: must not come back as an Int *)
+        ("integral", Float 9007199254740992.);
         ("string", String "with \"quotes\", a \\ backslash,\n a newline and \t tab");
         ("control", String "bell \007 and escape \027 go through \\u");
         ("list", List [ Int 1; Int 2; List []; Obj [] ]);
@@ -962,6 +964,157 @@ let test_precertify_uses_store () =
     computed_before
     (Atomic.get Analysis.Symmetry.computed_count)
 
+(* --- parser fuzzing ------------------------------------------------------ *)
+
+(* The store reads result and certificate files that a killed worker may
+   have truncated and a bad disk may have flipped bytes in, so the decoders
+   must answer [Error], never raise, on any input.  Inputs: arbitrary bytes,
+   strings over JSON's own alphabet, and truncated or byte-flipped
+   encodings of real records and certificates. *)
+
+let gen_str = QCheck2.Gen.(string_size (int_range 0 12))
+
+let gen_finite_float =
+  QCheck2.Gen.(
+    oneof
+      [
+        float_range (-1e6) 1e6;
+        (* large integral values sit on the printer's Int/Float boundary *)
+        map Float.of_int int;
+        map2 Float.ldexp (float_range 0.5 1.) (int_range (-1074) 1023);
+      ])
+
+(* Finite floats only: a non-finite float inside [extra] comes back as its
+   string sentinel ([Json.to_string]), so it has no exact round-trip. *)
+let gen_json =
+  QCheck2.Gen.(
+    sized_size (int_range 0 16)
+    @@ fix (fun self size ->
+           let leaf =
+             oneof
+               [
+                 pure Campaign.Json.Null;
+                 map (fun b -> Campaign.Json.Bool b) bool;
+                 map (fun i -> Campaign.Json.Int i) int;
+                 map (fun f -> Campaign.Json.Float f) gen_finite_float;
+                 map (fun s -> Campaign.Json.String s) gen_str;
+               ]
+           in
+           if size <= 1 then leaf
+           else
+             let items g = list_size (int_range 0 3) g in
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun l -> Campaign.Json.List l) (items (self (size / 4))));
+                 ( 1,
+                   map
+                     (fun l -> Campaign.Json.Obj l)
+                     (items (pair gen_str (self (size / 4)))) );
+               ]))
+
+(* Every status, arbitrary bytes in the strings, and any float — NaN and the
+   infinities included — as [elapsed]. *)
+let gen_record =
+  QCheck2.Gen.(
+    let status =
+      oneof
+        [
+          pure Campaign.Record.Verified;
+          pure Campaign.Record.Timeout;
+          map (fun m -> Campaign.Record.Crash m) gen_str;
+          (let+ kind = gen_str
+           and+ message = gen_str
+           and+ schedule = list_size (int_range 0 8) int
+           and+ probe = opt int in
+           Campaign.Record.Violation { kind; message; schedule; probe });
+        ]
+    in
+    let+ (task, kind, row, protocol), (n, depth, engine, reduce) =
+      pair (quad gen_str gen_str gen_str gen_str) (quad int int gen_str gen_str)
+    and+ observers = list_size (int_range 0 3) gen_str
+    and+ crashes = small_nat
+    and+ status = status
+    and+ configs, probes, dedup_hits, sleep_pruned = quad int int int int
+    and+ truncated = bool
+    and+ elapsed = float
+    and+ extra = list_size (int_range 0 3) (pair gen_str gen_json) in
+    Campaign.Record.make ~task ~kind ~row ~protocol ~n ~depth ~engine ~reduce ~observers
+      ~crashes ~status ~configs ~probes ~dedup_hits ~sleep_pruned ~truncated ~elapsed
+      ~extra ())
+
+let gen_verdict =
+  QCheck2.Gen.(
+    oneof
+      [
+        (let+ depth = int and+ pairs = int in
+         Analysis.Symmetry.Certified_symmetric { depth; pairs });
+        (let+ pid_a = int and+ pid_b = int and+ input = int and+ detail = gen_str in
+         Analysis.Symmetry.Asymmetric { pid_a; pid_b; input; detail });
+        map (fun reason -> Analysis.Symmetry.Unknown reason) gen_str;
+      ])
+
+let gen_untrusted =
+  QCheck2.Gen.(
+    let encoding =
+      oneof
+        [
+          map (fun r -> Campaign.Json.to_string (Campaign.Record.to_json r)) gen_record;
+          map
+            (fun r -> Campaign.Json.to_string_pretty (Campaign.Record.to_json r))
+            gen_record;
+          map Campaign.Cert.to_string gen_verdict;
+        ]
+    in
+    let truncated =
+      let* s = encoding in
+      let+ k = int_range 0 (String.length s) in
+      String.sub s 0 k
+    in
+    let flipped =
+      let* s = encoding in
+      let+ i = int_range 0 (String.length s - 1) and+ c = char in
+      String.mapi (fun j d -> if j = i then c else d) s
+    in
+    oneof
+      [
+        string;
+        string_of
+          (oneofl (List.of_seq (String.to_seq "{}[]\":,\\/-+.0123456789eEnultrfasNI \n")));
+        truncated;
+        flipped;
+      ])
+
+let prop_parsers_never_raise =
+  QCheck2.Test.make ~name:"decoders never raise on untrusted bytes" ~count:3000
+    ~print:(Printf.sprintf "%S") gen_untrusted (fun s ->
+      let total name f x =
+        match f x with
+        | _ -> true
+        | exception e ->
+          QCheck2.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+      in
+      total "Json.of_string" Campaign.Json.of_string s
+      && (match Campaign.Json.of_string s with
+          | Ok j -> total "Record.of_json" Campaign.Record.of_json j
+          | Error _ -> true)
+      && total "Cert.of_string" Campaign.Cert.of_string s)
+
+(* [compare], not [=], so a NaN [elapsed] counts as equal to itself.  Both
+   the in-memory tree and the bytes the store writes must round-trip. *)
+let prop_record_roundtrip =
+  QCheck2.Test.make ~name:"records round-trip through their JSON" ~count:1000
+    ~print:(fun r -> Campaign.Json.to_string (Campaign.Record.to_json r))
+    gen_record (fun r ->
+      let json = Campaign.Record.to_json r in
+      let same = function Ok r' -> compare r r' = 0 | Error _ -> false in
+      same (Campaign.Record.of_json json)
+      && List.for_all
+           (fun print ->
+             same
+               (Result.bind (Campaign.Json.of_string (print json)) Campaign.Record.of_json))
+           [ Campaign.Json.to_string; Campaign.Json.to_string_pretty ])
+
 let () =
   Alcotest.run "campaign"
     [
@@ -1041,4 +1194,7 @@ let () =
         [
           Alcotest.test_case "worst status wins" `Quick test_report_worst_status_wins;
         ] );
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_parsers_never_raise; prop_record_roundtrip ] );
     ]

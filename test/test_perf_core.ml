@@ -324,6 +324,52 @@ let test_decidable_values_differential () =
       ("maxreg", Consensus.Maxreg_protocol.protocol, [| 0; 1; 1 |], 5, true);
     ]
 
+(* A commute-reduced run pays only for its walk: the sleep-set filter's
+   commutation matrix fills from the ops the walk meets, so where the
+   reduction prunes nothing the reduced run visits the same configurations
+   as the unreduced one and allocates about as much.  These runs take well
+   under a millisecond, so any per-run pre-pass over the protocol (building
+   its CFG, say) would dominate them: it shows here as an allocation ratio
+   of 10^3 or more, and under a short deadline as a run that times out
+   before its first configuration. *)
+let test_commute_pays_for_its_walk () =
+  let commute = { Explore.commute = true; symmetric = false } in
+  let protocol id =
+    match Hierarchy.find id with
+    | Some r -> r.protocol
+    | None -> Alcotest.failf "row %s missing" id
+  in
+  let configs name = function
+    | Explore.Completed s -> s.Explore.configs
+    | v -> Alcotest.failf "%s: %s, expected completed" name (verdict_kind v)
+  in
+  let measured run =
+    ignore (run ());
+    let w0 = Gc.minor_words () in
+    let v = run () in
+    (v, Gc.minor_words () -. w0)
+  in
+  List.iter
+    (fun id ->
+      let run reduce () =
+        Explore.run ~engine:`Memo ~reduce (protocol id) ~inputs:[| 0; 1 |] ~depth:2
+      in
+      let plain, plain_words = measured (run Explore.no_reduction) in
+      let reduced, reduced_words = measured (run commute) in
+      Alcotest.(check int)
+        (id ^ ": same configurations with and without commute")
+        (configs id plain) (configs id reduced);
+      if reduced_words > 2. *. plain_words then
+        Alcotest.failf "%s: commute run allocated %.0f minor words, unreduced %.0f" id
+          reduced_words plain_words)
+    [ "swap"; "set-bit"; "tas" ];
+  let v =
+    Explore.run ~engine:`Memo ~deadline:0.1 ~reduce:commute (protocol "swap")
+      ~inputs:[| 0; 1 |] ~depth:6
+  in
+  Alcotest.(check int) "swap n=2 d=6 commute completes within 0.1 s" 47
+    (configs "swap deadline" v)
+
 (* ------------------------------------------------------------------ *)
 (* Sharded transposition table. *)
 
@@ -580,6 +626,8 @@ let () =
           Alcotest.test_case "memo witness replays" `Quick test_witness_replays;
           Alcotest.test_case "decidable-value sets vs naive reference" `Slow
             test_decidable_values_differential;
+          Alcotest.test_case "commute run pays only for its walk" `Quick
+            test_commute_pays_for_its_walk;
         ] );
       ( "transposition",
         [
