@@ -1152,9 +1152,11 @@ let campaign_bench ~smoke () =
 
 (* The static-analysis passes: per-row symmetry certification timing (and the
    effect of the run cache), certificate warm-up through the campaign store's
-   certs/ side-table (cold compute+persist vs preload from disk), then the
+   certs/ side-table (cold compute+persist vs preload from disk), the
    full-registry lint with its findings summary — the same pass CI runs via
-   `space_hierarchy lint --strict`.  Results go to BENCH_lint.json. *)
+   `space_hierarchy lint --strict` — and a cold [Absint.analyze] of every row
+   at every n, the CFG work `space_hierarchy analyze` pays.  Results go to
+   BENCH_lint.json. *)
 let lint_bench ~smoke () =
   section "LINT: protocol & iset linter (certify / contracts / space claims)";
   let ns = if smoke then [ 2 ] else [ 2; 3 ] in
@@ -1236,9 +1238,42 @@ let lint_bench ~smoke () =
     (List.length self)
     (Analysis.Report.errors self)
     self_dt;
+  Printf.printf "\n%-22s %2s %6s %6s %8s %3s  %s\n" "row" "n" "nodes" "edges" "work" "sig"
+    "truncated";
+  Analysis.Absint.reset_cache ();
+  let analyze_rows, analyze_dt =
+    time (fun () ->
+        List.concat_map
+          (fun (row : Hierarchy.row) ->
+            List.map
+              (fun n ->
+                let a = Analysis.Absint.analyze row.protocol ~n in
+                Printf.printf "%-22s %2d %6d %6d %8d %3d  %s\n%!" row.id n a.nodes a.edges
+                  a.work a.sig_depth
+                  (Option.value a.truncated ~default:"-");
+                Campaign.Json.Obj
+                  [
+                    ("row", Campaign.Json.String row.id);
+                    ("n", Campaign.Json.Int n);
+                    ("nodes", Campaign.Json.Int a.nodes);
+                    ("edges", Campaign.Json.Int a.edges);
+                    ("work", Campaign.Json.Int a.work);
+                    ("sig_depth", Campaign.Json.Int a.sig_depth);
+                    ( "truncated",
+                      match a.truncated with
+                      | None -> Campaign.Json.Null
+                      | Some r -> Campaign.Json.String r );
+                  ])
+              ns)
+          rows)
+  in
+  Printf.printf "analyze pass (%d rows x ns = %s): %.2f s\n" (List.length rows)
+    (String.concat "," (List.map string_of_int ns))
+    analyze_dt;
   write_json "BENCH_lint.json"
     (Campaign.Json.Obj
        [
+         ("ns", Campaign.Json.List (List.map (fun n -> Campaign.Json.Int n) ns));
          ("certify", Campaign.Json.List certify_rows);
          ("store_rows", Campaign.Json.Int (List.length rows));
          ("store_cold_s", Campaign.Json.Float store_cold);
@@ -1251,6 +1286,8 @@ let lint_bench ~smoke () =
          ("selftest_findings", Campaign.Json.Int (List.length self));
          ("selftest_escapes", Campaign.Json.Int (Analysis.Report.errors self));
          ("selftest_elapsed_s", Campaign.Json.Float self_dt);
+         ("analyze", Campaign.Json.List analyze_rows);
+         ("analyze_elapsed_s", Campaign.Json.Float analyze_dt);
        ])
 
 (* -------------------------------------------------------------- TIME -- *)

@@ -25,12 +25,20 @@
      extras), and the cold run's [cold_elapsed] must stay within
      [floor_divisor] times the committed one.  Unlike the MC floor this
      times a whole campaign, reduced tasks included.
+   - with --lint: a fresh full (non-smoke) BENCH_lint.json disagrees with
+     the committed one — every certify verdict, the lint finding, error
+     and warning counts, the selftest counts, [store_recomputed] and every
+     analyze row (nodes, edges, work, signature depth, truncation) must be
+     equal, and [lint_elapsed_s] and [analyze_elapsed_s] must stay within
+     [floor_divisor] times the committed ones.
 
    Usage: perf_gate --baseline <committed MC json> \
                     --current <fresh MC json> --reduce <fresh RED json> \
                     [--crash <fresh CRASH json>] \
                     [--campaign-baseline <committed CAMP json> \
-                     --campaign <fresh CAMP json>] *)
+                     --campaign <fresh CAMP json>] \
+                    [--lint-baseline <committed LINT json> \
+                     --lint <fresh LINT json>] *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("perf-gate: " ^ s); exit 2) fmt
 
@@ -246,9 +254,67 @@ let check_campaign ~baseline current =
       ceiling committed floor_divisor;
   !failures
 
+(* ----------------------------------------------------- lint identity -- *)
+
+let check_lint ~baseline current =
+  let failures = ref 0 in
+  let fail fmt =
+    Printf.ksprintf (fun s -> incr failures; print_endline ("FAIL " ^ s)) fmt
+  in
+  let field f j = Campaign.Json.(to_string (member f j)) in
+  if field "ns" current <> field "ns" baseline then
+    die "the lint check needs a full LINT run (ns %s, committed %s)" (field "ns" current)
+      (field "ns" baseline);
+  (* one line per row of a table, over the given fields *)
+  let table name fields j =
+    match Campaign.Json.(get_list (member name j)) with
+    | Some l -> List.map (fun r -> String.concat " " (List.map (fun f -> field f r) fields)) l
+    | None -> die "no %S array in lint bench json" name
+  in
+  let same_table name fields =
+    let committed = table name fields baseline and fresh = table name fields current in
+    if List.length committed <> List.length fresh then
+      fail "%s has %d rows, committed %d" name (List.length fresh) (List.length committed)
+    else if committed = fresh then
+      Printf.printf "ok   %d %s rows = committed baseline\n" (List.length fresh) name
+    else
+      List.iter2
+        (fun c f -> if c <> f then fail "%s row differs:\n  committed %s\n  fresh     %s" name c f)
+        committed fresh
+  in
+  same_table "certify" [ "row"; "verdict" ];
+  same_table "analyze" [ "row"; "n"; "nodes"; "edges"; "work"; "sig_depth"; "truncated" ];
+  List.iter
+    (fun key ->
+      let committed = int key baseline and fresh = int key current in
+      if fresh <> committed then fail "%s = %d, committed %d" key fresh committed
+      else Printf.printf "ok   %s = %d\n" key fresh)
+    [
+      "lint_findings"; "lint_errors"; "lint_warnings"; "selftest_findings";
+      "selftest_escapes"; "store_recomputed";
+    ];
+  List.iter
+    (fun key ->
+      let elapsed j =
+        match Campaign.Json.(get_float (member key j)) with
+        | Some t -> t
+        | None -> die "no %S in lint bench json" key
+      in
+      let committed = elapsed baseline and fresh = elapsed current in
+      let ceiling = committed *. floor_divisor in
+      if fresh > ceiling then
+        fail "%s %.3f s > %.3f s (committed %.3f s x %.0f)" key fresh ceiling committed
+          floor_divisor
+      else
+        Printf.printf "ok   %s %.3f s <= %.3f s (committed %.3f s x %.0f)\n" key fresh
+          ceiling committed floor_divisor)
+    [ "lint_elapsed_s"; "analyze_elapsed_s" ];
+  !failures
+
 let () =
   let baseline = ref "" and current = ref "" and reduce = ref "" and crash = ref "" in
   let campaign_baseline = ref "" and campaign = ref "" in
+  let lint_baseline = ref "" and lint = ref "" in
   let rec parse = function
     | "--baseline" :: v :: rest -> baseline := v; parse rest
     | "--current" :: v :: rest -> current := v; parse rest
@@ -256,6 +322,8 @@ let () =
     | "--crash" :: v :: rest -> crash := v; parse rest
     | "--campaign-baseline" :: v :: rest -> campaign_baseline := v; parse rest
     | "--campaign" :: v :: rest -> campaign := v; parse rest
+    | "--lint-baseline" :: v :: rest -> lint_baseline := v; parse rest
+    | "--lint" :: v :: rest -> lint := v; parse rest
     | [] -> ()
     | a :: _ -> die "unknown argument %s" a
   in
@@ -263,9 +331,11 @@ let () =
   if !baseline = "" || !current = "" || !reduce = "" then
     die
       "usage: perf_gate --baseline <mc.json> --current <mc.json> --reduce <red.json> \
-       [--crash <crash.json>] [--campaign-baseline <camp.json> --campaign <camp.json>]";
+       [--crash <crash.json>] [--campaign-baseline <camp.json> --campaign <camp.json>] \
+       [--lint-baseline <lint.json> --lint <lint.json>]";
   if (!campaign_baseline = "") <> (!campaign = "") then
     die "--campaign-baseline and --campaign go together";
+  if (!lint_baseline = "") <> (!lint = "") then die "--lint-baseline and --lint go together";
   print_endline "== reduction domination (RED rows) ==";
   let f1 = check_reduction_domination (read_json !reduce) in
   print_endline "== memoized throughput floor (MC rows) ==";
@@ -286,7 +356,14 @@ let () =
       check_campaign ~baseline:(read_json !campaign_baseline) (read_json !campaign)
     end
   in
-  let failures = f1 + f2 + f3 + f4 in
+  let f5 =
+    if !lint = "" then 0
+    else begin
+      print_endline "== lint identity and pass times (LINT vs committed baseline) ==";
+      check_lint ~baseline:(read_json !lint_baseline) (read_json !lint)
+    end
+  in
+  let failures = f1 + f2 + f3 + f4 + f5 in
   if failures > 0 then begin
     Printf.printf "perf-gate: %d failure(s)\n" failures;
     exit 1

@@ -138,9 +138,6 @@ let analyze_uncached ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budge
     ~inputs (module P : Consensus.Proto.S) ~n =
   let module C = Cfg.Make (P) in
   let module I = P.I in
-  let res_str r = Format.asprintf "%a" I.pp_result r in
-  let cell_str c = Format.asprintf "%a" I.pp_cell c in
-  let sampled = C.sampled_alphabet () in
   (* per-location abstract value sets, keyed on printed cell *)
   let cells : (int, (string, I.cell) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   let tops : (int, unit) Hashtbl.t = Hashtbl.create 4 in
@@ -149,19 +146,23 @@ let analyze_uncached ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budge
     | Some tbl -> tbl
     | None ->
       let tbl = Hashtbl.create 8 in
-      Hashtbl.add tbl (cell_str I.init) I.init;
+      Hashtbl.add tbl (C.cell_str I.init) I.init;
       Hashtbl.add cells loc tbl;
       tbl
   in
+  (* The candidate alphabet: closure results (feasible), then the sampled
+     results the closure does not produce.  The closure only grows in
+     [close], between builds, and [C.build] reads this once per (location,
+     op) per build. *)
   let results loc op =
-    let sampled = sampled loc op in
-    if Hashtbl.mem tops loc then sampled
+    let sampled = C.sampled op in
+    if Hashtbl.mem tops loc then List.map (fun r -> (r, true)) sampled
     else begin
       let feas : (string, I.result) Hashtbl.t = Hashtbl.create 8 in
       Hashtbl.iter
         (fun _ c ->
           match I.apply op c with
-          | _, r -> Hashtbl.replace feas (res_str r) r
+          | _, r -> Hashtbl.replace feas (C.res_str r) r
           | exception _ -> ())
         (cells_of loc);
       let feasible =
@@ -171,7 +172,7 @@ let analyze_uncached ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budge
       in
       feasible
       @ List.filter_map
-          (fun (r, _) -> if Hashtbl.mem feas (res_str r) then None else Some (r, false))
+          (fun r -> if Hashtbl.mem feas (C.res_str r) then None else Some (r, false))
           sampled
     end
   in
@@ -189,7 +190,7 @@ let analyze_uncached ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budge
               (fun c ->
                 match I.apply op c with
                 | c', _ ->
-                  let key = cell_str c' in
+                  let key = C.cell_str c' in
                   if not (Hashtbl.mem tbl key) then begin
                     Hashtbl.add tbl key c';
                     changed := true;

@@ -91,8 +91,55 @@ let retro_edge_count t =
         acc n.edges)
     0 t.nodes
 
+(* The analysis layer's one printer: the printed forms of ops, results and
+   cells, memoized per distinct value on structural keys (as
+   [Model.Intern.Poly] keys ops), plus [sampled], the all-feasible result
+   alphabet, memoized per op.  Signatures, alphabets and value sets all key
+   on printed forms, and no printed form changes within an analysis.  The
+   tables are not thread-safe: apply the functor once per analysis call, so
+   domains never share one. *)
+module Print (I : Model.Iset.S) = struct
+  let memo pp =
+    let tbl = Hashtbl.create 64 in
+    fun x ->
+      match Hashtbl.find_opt tbl x with
+      | Some s -> s
+      | None ->
+        let s = Format.asprintf "%a" pp x in
+        Hashtbl.add tbl x s;
+        s
+
+  let op_str : I.op -> string = memo I.pp_op
+  let res_str : I.result -> string = memo I.pp_result
+  let cell_str : I.cell -> string = memo I.pp_cell
+
+  (* Every result an op yields on some sampled cell, deduplicated on printed
+     form in first-seen order: the alphabet the CFG build, the lockstep
+     certifier and the symbolic footprint feed continuations. *)
+  let sampled =
+    let tbl : (I.op, I.result list) Hashtbl.t = Hashtbl.create 16 in
+    fun op ->
+      match Hashtbl.find_opt tbl op with
+      | Some rs -> rs
+      | None ->
+        let rs =
+          List.filter_map
+            (fun c -> try Some (snd (I.apply op c)) with _ -> None)
+            (I.sample_cells ())
+          |> List.fold_left
+               (fun acc r ->
+                 if List.exists (fun r' -> res_str r = res_str r') acc then acc
+                 else r :: acc)
+               []
+          |> List.rev
+        in
+        Hashtbl.add tbl op rs;
+        rs
+end
+
 module Make (P : Consensus.Proto.S) = struct
   module I = P.I
+  include Print (I)
 
   type proc = (I.op, I.result, int) Model.Proc.t
 
@@ -105,9 +152,6 @@ module Make (P : Consensus.Proto.S) = struct
   exception Unstable
   exception Stop_build of string
 
-  let op_str o = Format.asprintf "%a" I.pp_op o
-  let res_str r = Format.asprintf "%a" I.pp_result r
-
   let build ?(sig_depth = default_sig_depth) ?(max_sig_depth = default_max_sig_depth)
       ?(max_nodes = default_max_nodes) ?(width_cap = default_width_cap)
       ?(work_budget = default_work_budget) ~results ~n ~inputs () =
@@ -117,13 +161,24 @@ module Make (P : Consensus.Proto.S) = struct
       if !work > work_budget then
         raise (Stop_build (Printf.sprintf "work budget exceeded at %d feeds" work_budget))
     in
+    (* [results] is fixed for the whole build, so each (location, op)
+       alphabet is read once per build. *)
+    let alphabets = Hashtbl.create 16 in
+    let results loc op : (I.result * bool) list =
+      match Hashtbl.find_opt alphabets (loc, op) with
+      | Some rs -> rs
+      | None ->
+        let rs = results loc op in
+        Hashtbl.add alphabets (loc, op) rs;
+        rs
+    in
     (* Candidate result vectors for one access list: the cartesian product of
        each op's alphabet, each component tagged feasible/infeasible.  [None]
        when some op has no candidate result at all (an alphabet gap: the
        continuation is unreachable to this analysis, so nothing downstream
        may be certified). *)
     let vectors accs =
-      let per = List.map (fun (loc, op) -> (results loc op : (I.result * bool) list)) accs in
+      let per = List.map (fun (loc, op) -> results loc op) accs in
       if List.exists (fun l -> l = []) per then None
       else
         Some
@@ -143,7 +198,9 @@ module Make (P : Consensus.Proto.S) = struct
     in
     (* The depth-[d] observation signature, as a canonical string (printed
        forms print injectively in this codebase; strings are compared in
-       full, so there are no hash collisions to worry about). *)
+       full, so there are no hash collisions to worry about).  Result
+       vectors go unprinted: within a build they are a function of the
+       access list printed before them. *)
     let rec signature d (t : proc) (b : Buffer.t) =
       match t with
       | Model.Proc.Done v ->
@@ -167,14 +224,8 @@ module Make (P : Consensus.Proto.S) = struct
             Buffer.add_char b '{';
             List.iter
               (fun rv ->
-                let rs = List.map fst rv in
-                List.iter
-                  (fun r ->
-                    Buffer.add_string b (res_str r);
-                    Buffer.add_char b ',')
-                  rs;
                 Buffer.add_string b "->";
-                (match feed k rs with
+                (match feed k (List.map fst rv) with
                  | Ok t' -> signature (d - 1) t' b
                  | Error e ->
                    Buffer.add_char b '!';
@@ -317,30 +368,6 @@ module Make (P : Consensus.Proto.S) = struct
         issued = [];
         issued_at = [];
       }
-
-  (* The all-feasible alphabet: every result an op yields on some sampled
-     cell, deduplicated on printed form — the same alphabet the lockstep
-     certifier and the symbolic footprint use.  Memoized per op. *)
-  let sampled_alphabet () =
-    let tbl : (string, (I.result * bool) list) Hashtbl.t = Hashtbl.create 16 in
-    fun (_loc : int) op ->
-      let key = op_str op in
-      match Hashtbl.find_opt tbl key with
-      | Some rs -> rs
-      | None ->
-        let rs =
-          List.filter_map
-            (fun c -> try Some (snd (I.apply op c)) with _ -> None)
-            (I.sample_cells ())
-          |> List.fold_left
-               (fun acc r ->
-                 if List.exists (fun (r', _) -> res_str r = res_str r') acc then acc
-                 else (r, true) :: acc)
-               []
-          |> List.rev
-        in
-        Hashtbl.add tbl key rs;
-        rs
 end
 
 (* Erased convenience entry point: the step graph of a protocol under the
@@ -351,6 +378,7 @@ let of_proto ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budget
   let module C = Make (P) in
   let g =
     C.build ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budget
-      ~results:(C.sampled_alphabet ()) ~n ~inputs ()
+      ~results:(fun _ op -> List.map (fun r -> (r, true)) (C.sampled op))
+      ~n ~inputs ()
   in
   g.C.cfg

@@ -26,9 +26,7 @@
    buffers raise on capacity mismatches); such combinations are skipped. *)
 
 module Check (I : Model.Iset.S) = struct
-  let op_str o = Format.asprintf "%a" I.pp_op o
-  let cell_str c = Format.asprintf "%a" I.pp_cell c
-  let res_str r = Format.asprintf "%a" I.pp_result r
+  include Cfg.Print (I)
 
   let apply_opt op c = try Some (I.apply op c) with _ -> None
 

@@ -133,28 +133,7 @@ let explore_check out (module P : Consensus.Proto.S) ~n ~declared ~depth =
    continuation raised). *)
 let symbolic_footprint (module P : Consensus.Proto.S) ~n ~depth =
   let module I = P.I in
-  let op_str o = Format.asprintf "%a" I.pp_op o in
-  let res_str r = Format.asprintf "%a" I.pp_result r in
-  let results_tbl : (string, I.result list) Hashtbl.t = Hashtbl.create 16 in
-  let results_of op =
-    let key = op_str op in
-    match Hashtbl.find_opt results_tbl key with
-    | Some rs -> rs
-    | None ->
-      let rs =
-        List.filter_map
-          (fun c -> try Some (snd (I.apply op c)) with _ -> None)
-          (I.sample_cells ())
-        |> List.fold_left
-             (fun acc r ->
-               if List.exists (fun r' -> res_str r = res_str r') acc then acc
-               else r :: acc)
-             []
-        |> List.rev
-      in
-      Hashtbl.add results_tbl key rs;
-      rs
-  in
+  let module Pr = Cfg.Print (I) in
   let locs = Hashtbl.create 16 in
   (* [None] while complete; the first budget cap to fire records why the
      unfolding is partial — a clean report must not mean "gave up quietly" *)
@@ -183,7 +162,7 @@ let symbolic_footprint (module P : Consensus.Proto.S) ~n ~depth =
                   in
                   if List.length acc' > width_cap then None else Some acc')
               (Some [ [] ])
-              (List.map (fun (_, op) -> results_of op) accesses)
+              (List.map (fun (_, op) -> Pr.sampled op) accesses)
           in
           match vectors with
           | None -> trunc "result branching exceeds width cap %d" width_cap

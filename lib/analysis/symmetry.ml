@@ -77,32 +77,11 @@ exception Out_of_budget of string
 let certify_pair (module P : Consensus.Proto.S) ~n ~pid_a ~pid_b ~input ~depth
     ~budget =
   let module I = P.I in
-  let op_str o = Format.asprintf "%a" I.pp_op o in
-  let res_str r = Format.asprintf "%a" I.pp_result r in
-  (* Results an op can return, over the sampled cells, deduplicated on
-     printed form; memoized per op. *)
-  let results_tbl : (string, I.result list) Hashtbl.t = Hashtbl.create 16 in
+  let module Pr = Cfg.Print (I) in
   let results_of op =
-    let key = op_str op in
-    match Hashtbl.find_opt results_tbl key with
-    | Some rs -> rs
-    | None ->
-      let all =
-        List.filter_map
-          (fun c -> try Some (snd (I.apply op c)) with _ -> None)
-          (I.sample_cells ())
-      in
-      let rs =
-        List.fold_left
-          (fun acc r ->
-            if List.exists (fun r' -> res_str r = res_str r') acc then acc else r :: acc)
-          [] all
-        |> List.rev
-      in
-      if rs = [] then
-        raise (Out_of_budget (Printf.sprintf "no sampled cell accepts %s" key));
-      Hashtbl.add results_tbl key rs;
-      rs
+    match Pr.sampled op with
+    | [] -> raise (Out_of_budget ("no sampled cell accepts " ^ Pr.op_str op))
+    | rs -> rs
   in
   let cartesian lists =
     List.fold_left
@@ -131,7 +110,7 @@ let certify_pair (module P : Consensus.Proto.S) ~n ~pid_a ~pid_b ~input ~depth
       raise
         (Diverged (Printf.sprintf "pid %d decides %d while pid %d accesses memory" pid_b b pid_a))
     | Step (aa, ka), Step (ab, kb) ->
-      let signature acc = List.map (fun (loc, op) -> (loc, op_str op)) acc in
+      let signature acc = List.map (fun (loc, op) -> (loc, Pr.op_str op)) acc in
       let sa = signature aa and sb = signature ab in
       if sa <> sb then
         raise

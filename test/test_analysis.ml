@@ -362,6 +362,104 @@ let test_deep_certification () =
         | v -> Alcotest.failf "%s at depth 12: %a" id Symmetry.pp_verdict v))
     [ "increment"; "fetch-incr"; "max-register"; "fetch-add"; "fetch-multiply" ]
 
+(* 13. The analysis output, pinned: the exact [Absint] summary on rows that
+   cover every outcome of [Cfg.Make.build] — complete, complete with a dead
+   branch, deepened signatures over Top locations, the node budget, no
+   stable quotient, and the work budget.  A faster build must produce the
+   same graphs. *)
+let test_absint_pinned () =
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  let summary (a : Absint.t) =
+    Printf.sprintf
+      "%d/%d/%d sig %d work %d truncated %s converged %b tops [%s] complete %b dead %d \
+       undecided %d"
+      a.nodes a.edges a.retro_edges a.sig_depth a.work
+      (Option.value a.truncated ~default:"-")
+      a.converged
+      (String.concat "," (List.map string_of_int a.tops))
+      a.complete a.dead_nodes a.undecided_nodes
+  in
+  List.iter
+    (fun (id, n, work_budget, want, feasible) ->
+      match Hierarchy.find id with
+      | None -> Alcotest.failf "registry row %s missing" id
+      | Some row ->
+        let a = Absint.analyze_uncached ?work_budget ~inputs:[ 0; 1 ] row.protocol ~n in
+        let label = Printf.sprintf "%s n=%d" id n in
+        Alcotest.(check string) (label ^ " summary") want (summary a);
+        Alcotest.(check (list int)) (label ^ " feasible footprint") feasible
+          a.footprint_feasible)
+    [
+      ( "write01", 2, None,
+        "34/66/2 sig 1 work 602 truncated - converged true tops [] complete true dead 0 \
+         undecided 34",
+        range 0 31 );
+      ( "cas", 2, None,
+        "5/8/0 sig 1 work 40 truncated - converged true tops [] complete true dead 1 \
+         undecided 0",
+        [ 0 ] );
+      ( "inc-dec", 3, None,
+        "25/63/12 sig 3 work 9020 truncated - converged true tops [2,3] complete false \
+         dead 8 undecided 1",
+        range 0 3 );
+      ( "tas", 3, None,
+        "4000/7822/3492 sig 1 work 47952 truncated node budget exhausted at 4000 nodes \
+         converged true tops [] complete false dead 81 undecided 3919",
+        range 0 4 @ List.filter (fun l -> l mod 3 <> 2) (range 6 255) );
+      ( "increment", 3, None,
+        "104/382/270 sig 4 work 165865 truncated no stable quotient up to signature \
+         depth 4 converged true tops [2,3,4,5] complete false dead 0 undecided 1",
+        range 0 5 );
+      ( "max-register", 2, Some 50_000,
+        "42/86/45 sig 3 work 50001 truncated work budget exceeded at 50000 feeds \
+         converged true tops [] complete false dead 5 undecided 37",
+        [ 0; 1 ] );
+    ]
+
+(* 14. The memoized printer prints what [Format.asprintf] prints — asked
+   twice, so the second answer comes from its table — on every sampled op
+   and cell of each registry instruction set and on what [apply] makes of
+   them, and its sampled alphabet is the first-seen printed-distinct
+   results of [apply] over the sampled cells. *)
+let test_print_agrees () =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (row : Hierarchy.row) ->
+      let (module P : Consensus.Proto.S) = row.protocol in
+      let module I = P.I in
+      if not (Hashtbl.mem seen I.name) then begin
+        Hashtbl.add seen I.name ();
+        let module Pr = Cfg.Print (I) in
+        let check what pp str x =
+          let want = Format.asprintf "%a" pp x in
+          for _ = 1 to 2 do
+            Alcotest.(check string) (Printf.sprintf "%s: %s" I.name what) want (str x)
+          done
+        in
+        let cells = I.sample_cells () in
+        List.iter (check "cell" I.pp_cell Pr.cell_str) cells;
+        List.iter
+          (fun op ->
+            check "op" I.pp_op Pr.op_str op;
+            let printed = ref [] in
+            List.iter
+              (fun c ->
+                match I.apply op c with
+                | c', r ->
+                  check "result" I.pp_result Pr.res_str r;
+                  check "cell" I.pp_cell Pr.cell_str c';
+                  let s = Format.asprintf "%a" I.pp_result r in
+                  if not (List.mem s !printed) then printed := s :: !printed
+                | exception _ -> ())
+              cells;
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: sampled alphabet of %s" I.name (Pr.op_str op))
+              (List.rev !printed)
+              (List.map Pr.res_str (Pr.sampled op)))
+          (I.sample_ops ())
+      end)
+    (Hierarchy.rows ~recovery:true ())
+
 let () =
   Alcotest.run "analysis"
     [
@@ -399,5 +497,8 @@ let () =
             test_cfg_lockstep_agreement;
           Alcotest.test_case "deep-depth certification" `Quick
             test_deep_certification;
+          Alcotest.test_case "analysis summaries pinned" `Quick test_absint_pinned;
+          Alcotest.test_case "memoized printer agrees with Format" `Quick
+            test_print_agrees;
         ] );
     ]

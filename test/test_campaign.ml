@@ -1115,6 +1115,60 @@ let prop_record_roundtrip =
                (Result.bind (Campaign.Json.of_string (print json)) Campaign.Record.of_json))
            [ Campaign.Json.to_string; Campaign.Json.to_string_pretty ])
 
+(* [campaign status] folds an [events.jsonl] that killed workers may have
+   torn mid-line and bad disks may have flipped bytes in.  The log here is
+   a real one (a small shared run's), made on first use; its lines are
+   kept whole, torn, byte-flipped, nested deep or replaced by arbitrary
+   bytes. *)
+let real_event_lines =
+  lazy
+    (let dir = temp_dir () in
+     let store = Campaign.Store.open_ ~dir () in
+     ignore (Campaign.Executor.run_shared ~store (smoke_tasks ()));
+     Campaign.Store.close store;
+     read_lines (Filename.concat dir "events.jsonl"))
+
+(* A proper non-empty prefix of a real line: an object left unclosed. *)
+let gen_torn_line =
+  QCheck2.Gen.(
+    delay (fun () ->
+        let* line = oneofl (Lazy.force real_event_lines) in
+        let+ k = int_range 1 (String.length line - 1) in
+        String.sub line 0 k))
+
+let gen_event_line =
+  QCheck2.Gen.(
+    delay (fun () ->
+        let* line = oneofl (Lazy.force real_event_lines) in
+        oneof
+          [
+            pure line;
+            gen_torn_line;
+            (let+ i = int_range 0 (String.length line - 1) and+ c = char in
+             String.mapi (fun j d -> if j = i then c else d) line);
+            (let+ depth = int_range 1 10_000 in
+             String.make depth '[' ^ String.make depth ']');
+            string;
+            pure "";
+          ]))
+
+let prop_status_folds_damaged_logs =
+  QCheck2.Test.make ~name:"status folds damaged telemetry" ~count:1000
+    ~print:QCheck2.Print.(pair (list string) string)
+    QCheck2.Gen.(pair (list_size (int_range 0 20) gen_event_line) gen_torn_line)
+    (fun (lines, torn) ->
+      let fold lines =
+        match Campaign.Status.of_lines lines with
+        | s -> s
+        | exception e ->
+          QCheck2.Test.fail_reportf "of_lines raised %s" (Printexc.to_string e)
+      in
+      let s = fold lines in
+      let non_blank = List.filter (fun l -> String.trim l <> "") lines in
+      s.Campaign.Status.events + s.malformed = List.length non_blank
+      (* a torn last line costs one malformed and nothing else *)
+      && compare (fold (lines @ [ torn ])) { s with malformed = s.malformed + 1 } = 0)
+
 let () =
   Alcotest.run "campaign"
     [
@@ -1196,5 +1250,9 @@ let () =
         ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_parsers_never_raise; prop_record_roundtrip ] );
+          [
+            prop_parsers_never_raise;
+            prop_record_roundtrip;
+            prop_status_folds_damaged_logs;
+          ] );
     ]
