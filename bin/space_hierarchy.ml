@@ -668,6 +668,8 @@ let campaign_cmd =
     match (engines, reduces) with
     | Error e, _ | _, Error e -> Error e
     | _ when crashes < 0 -> Error "--crashes must be non-negative"
+    | _ when Option.fold ~none:false ~some:(fun f -> f < 1) solo_fuel ->
+      Error "--solo-fuel must be at least 1"
     | Ok engines, Ok reduces ->
       Ok
         {

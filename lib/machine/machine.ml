@@ -471,16 +471,163 @@ module Make (I : Iset.S) = struct
     in
     go cfg sched fuel
 
-  (* A mutable throwaway copy of a configuration for solo probes.  The model
-     checker runs orders of magnitude more probe steps than scheduled steps
-     (every leaf probes every running process, and each probe chains solo
-     runs of every survivor), and none of those intermediate configurations
-     is ever fingerprinted, traced or branched from — so paying [step]'s
-     persistent-structure costs (three array copies, map rebalancing, digest
-     deltas, a 14-field record) per probe step is pure waste.  A scratch
-     workspace mutates a hashtable and one process array in place; its
-     [run_solo] agrees with the persistent one on decisions, runnability and
-     results observed (differentially tested in [test_modelcheck]). *)
+  (* The leg table behind the model checker's solo probes.  A leg is one
+     process run solo from one memory.  Its result — the memory after it
+     and the process's final state — is a function of that memory and of
+     the process's state, and the configuration already names both: the
+     memory lanes [mem_a]/[mem_b], and the process's result history
+     [hist.(pid)] (a process is a deterministic function of the results it
+     has seen since its last start).  So [(mem_a, mem_b, pid, hist.(pid))]
+     keys a leg exactly as far as the fingerprint keys a configuration,
+     modulo hash collisions.  No epoch is needed: a crash restarts the
+     process at its root with [hist] reset to 0, the same state as before
+     its first step.
+
+     Sibling leaves of the exploration usually differ by one step, often a
+     read, so most legs of a probe chain were already run from an equal
+     memory by an earlier probe of the same run, and a chain whose legs all
+     hit runs no step.  An entry keeps only the lanes after the leg and the
+     process's final state, a few words, not the memory after it, a map per
+     leg.  So the first leg of a chain that misses lacks its concrete
+     memory: the chain re-runs its earlier (hit) legs on the persistent
+     memory map, which it shares with the configuration instead of
+     copying, then runs the missing leg there and records it. *)
+  module Legs = struct
+    type key = { ka : int; kb : int; kpid : int; khist : int }
+
+    module Tbl = Hashtbl.Make (struct
+      type t = key
+
+      let equal x y = x.ka = y.ka && x.kb = y.kb && x.kpid = y.kpid && x.khist = y.khist
+
+      (* [ka] is a sum of avalanched words; the multiplier spreads the
+         processes of one memory over distinct buckets *)
+      let hash k = k.ka lxor k.khist lxor (k.kpid * 0x9e3779b9)
+    end)
+
+    type 'a leg = { post_a : int; post_b : int; final : 'a proc }
+    type 'a t = { legs : 'a leg Tbl.t; mutable steps : int }
+
+    let create () = { legs = Tbl.create 1024; steps = 0 }
+    let steps t = t.steps
+
+    (* One probe chain in progress.  [mem]/[ma]/[mb] is the concrete
+       memory with its lanes, advanced by every leg run so far; [pending]
+       are the pids of the hit legs since then (most recent first), not
+       yet run on it; [a]/[b] are the lanes after every leg so far. *)
+    type chain = {
+      mutable mem : (I.cell * int * int) Imap.t;
+      mutable ma : int;
+      mutable mb : int;
+      mutable a : int;
+      mutable b : int;
+      mutable pending : int list;
+    }
+
+    let start (cfg : _ config) =
+      { mem = cfg.mem; ma = cfg.mem_a; mb = cfg.mem_b; a = cfg.mem_a; b = cfg.mem_b;
+        pending = [] }
+
+    let absent = (I.init, 0, 0)
+
+    (* One access of a leg on the chain's memory.  A cell that [I.apply]
+       returns physically unchanged (a read, a failed compare-and-swap)
+       needs neither a hash nor a map update. *)
+    let access ch loc op =
+      if loc < 0 then invalid_arg "Machine.step: negative location";
+      let c, pa, pb =
+        match Imap.find_opt loc ch.mem with Some slot -> slot | None -> absent
+      in
+      let c', r = I.apply op c in
+      if c' != c then begin
+        let na, nb =
+          if I.equal_cell c' I.init then (0, 0)
+          else begin
+            let hc = I.hash_cell c' in
+            (cell_contrib_a loc hc, cell_contrib_b loc hc)
+          end
+        in
+        ch.mem <- Imap.add loc (c', na, nb) ch.mem;
+        ch.ma <- ch.ma + na - pa;
+        ch.mb <- ch.mb + nb - pb
+      end;
+      r
+
+    (* Run [p] solo on the chain's memory for at most [fuel] steps and
+       return its final state: [run_solo] restricted to memory, with no
+       history, trace, counters or process array to maintain. *)
+    let run t ch ~fuel p =
+      let rec go p remaining =
+        match p with
+        | Proc.Step ([ (loc, op) ], k) when remaining > 0 ->
+          go (k [ access ch loc op ]) (remaining - 1)
+        | Proc.Step ((_ :: _ as accesses), k) when remaining > 0 ->
+          if not I.multi_assignment then raise Multi_assignment_not_supported;
+          let rev = List.fold_left (fun rs (loc, op) -> access ch loc op :: rs) [] accesses in
+          go (k (List.rev rev)) (remaining - 1)
+        | p ->
+          t.steps <- t.steps + (fuel - remaining);
+          p
+      in
+      go p fuel
+
+    (* [q]'s leg from the chain's current lanes: looked up, or run after
+       the pending legs and recorded.  Returns [q]'s final state. *)
+    let leg t ~fuel cfg ch q =
+      let key = { ka = ch.a; kb = ch.b; kpid = q; khist = cfg.hist.(q) } in
+      let l =
+        match Tbl.find_opt t.legs key with
+        | Some l ->
+          ch.pending <- q :: ch.pending;
+          l
+        | None ->
+          List.iter (fun pid -> ignore (run t ch ~fuel cfg.procs.(pid))) (List.rev ch.pending);
+          ch.pending <- [];
+          let final = run t ch ~fuel cfg.procs.(q) in
+          let l = { post_a = ch.ma; post_b = ch.mb; final } in
+          Tbl.add t.legs key l;
+          l
+      in
+      ch.a <- l.post_a;
+      ch.b <- l.post_b;
+      l.final
+
+    let solo t ~fuel cfg pid =
+      match leg t ~fuel cfg (start cfg) pid with Proc.Done v -> Some v | Proc.Step _ -> None
+
+    (* Every other running process runs solo once, in pid order.  The
+       first one still running after its leg is the straggler: the legs
+       after it cannot change its state, nor that of a lower pid. *)
+    let probe t ~fuel cfg pid =
+      let ch = start cfg in
+      match leg t ~fuel cfg ch pid with
+      | Proc.Step _ -> `Stuck
+      | Proc.Done v ->
+        let n = Array.length cfg.procs in
+        let rec rest q decided =
+          if q = n then `Decided (List.rev decided)
+          else if q = pid then rest (q + 1) ((q, v) :: decided)
+          else begin
+            let final =
+              match cfg.procs.(q) with
+              | Proc.Step (_ :: _, _) -> leg t ~fuel cfg ch q
+              | p -> p
+            in
+            match final with
+            | Proc.Done w -> rest (q + 1) ((q, w) :: decided)
+            | Proc.Step ([], _) -> rest (q + 1) decided
+            | Proc.Step _ -> `Starved q
+          end
+        in
+        rest 0 []
+  end
+
+  (* A mutable throwaway copy of a configuration for solo probes: memory in
+     an array, processes in one mutated array.  It predates [Legs] as the
+     engine's probe executor; it stays as the reference the leg table is
+     differentially tested against and as the probe layer the benchmark
+     times.  Its [run_solo] agrees with the persistent one on decisions,
+     runnability and results observed. *)
   module Scratch = struct
     (* Memory as a dense array indexed by location — protocols use small
        location indices, so a cell read/write is an array access instead of

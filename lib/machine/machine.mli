@@ -208,17 +208,62 @@ module Make (I : Iset.S) : sig
       obstruction-freedom definition); returns its decision if it decided
       within [fuel] steps. *)
 
-  (** A mutable throwaway copy of a configuration, for running solo probes
-      without the persistent [step]'s copying and digest maintenance.  Probe
-      steps dominate the model checker's wall clock (every leaf probes every
-      running process) yet their intermediate configurations are never
-      fingerprinted or branched from, so the scratch workspace executes them
-      in place: memory in a hashtable, processes in one mutated array.
-      Semantics match the persistent machine exactly — same results
-      observed, same decisions, same blocked/undecided classification —
-      which the differential probe tests assert.  A scratch value is
-      single-use state: it shares nothing with the configuration it was
-      built from, and is meant to be dropped after the probe. *)
+  (** The model checker's solo probes, memoized per run.  A {e leg} is one
+      process run solo, for at most [fuel] steps, from one memory; the
+      table keys it on the configuration's memory lanes and the process's
+      pid and result history — what the fingerprint already keeps, so a
+      leg is identified exactly as far as a configuration is, modulo hash
+      collisions — and stores the memory lanes after it and the process's
+      final state.  The key needs no recovery epoch: a crash restarts the
+      process at its root with an empty history.
+
+      Sibling configurations usually differ by one step, so most legs of a
+      probe were already run by an earlier probe of the same run.  A probe
+      runs no step while its legs hit; at the first miss it re-runs its
+      earlier legs on the configuration's persistent memory, then runs and
+      records the missing one.  Decisions, runnability and the stuck and
+      starved classifications equal those of {!run_solo} chains on the
+      persistent machine and of {!Scratch}, which the differential probe
+      tests assert.
+
+      A table belongs to one run: one protocol, one input vector and one
+      [fuel] — its entries are only valid for configurations reached from
+      the same root with the same fuel.  It is not thread-safe; give each
+      domain its own. *)
+  module Legs : sig
+    type 'a t
+
+    val create : unit -> 'a t
+
+    val solo : 'a t -> fuel:int -> 'a config -> int -> 'a option
+    (** [solo t ~fuel cfg pid]: [pid]'s decision if it decides within
+        [fuel] solo steps from [cfg] — [snd (run_solo ~fuel ~pid cfg)]. *)
+
+    val probe :
+      'a t -> fuel:int -> 'a config -> int ->
+      [ `Stuck | `Starved of int | `Decided of (int * 'a) list ]
+    (** The probe chain from [cfg]: [pid] runs solo; if it does not decide
+        within [fuel] steps the probe is [`Stuck].  Otherwise every other
+        running process runs solo once, in pid order, each for at most
+        [fuel] steps.  [`Starved q]: [q] is the lowest pid still running
+        afterwards.  [`Decided ds]: no process is left running, and [ds]
+        are the decisions of the probe's final configuration, as
+        {!decisions} lists them. *)
+
+    val steps : 'a t -> int
+    (** Solo steps the table's probes have actually executed: the legs
+        that missed plus the hit legs re-run before a miss. *)
+  end
+
+  (** A mutable throwaway copy of a configuration for solo probes: memory
+      in an array, processes in one mutated array.  It predates {!Legs} as
+      the model checker's probe executor and now serves as the reference
+      the leg table is tested against and as the probe layer the
+      benchmark's micro-measurements time.  Semantics match the persistent
+      machine exactly — same results observed, same decisions, same
+      blocked/undecided classification.  A scratch value is single-use
+      state: it shares nothing with the configuration it was built from,
+      and is meant to be dropped after the probe. *)
   module Scratch : sig
     type 'a t
 

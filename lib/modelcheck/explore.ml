@@ -18,6 +18,12 @@
    Fingerprints are read off the machine's incrementally maintained
    two-lane digest (O(1) per configuration).
 
+   Solo probes, the bulk of a probing run's work, go through one leg table
+   per walk ([Model.Machine.Make.Legs]; one per worker domain under
+   [`Parallel]): a probe runs only the solo legs no earlier probe of the
+   walk ran from an equal memory, and [stats.probe_steps] counts the steps
+   it did run.
+
    The property checked is a set of observers ([Observer]); no observers
    means [Observer.defaults], obstruction-free consensus.
 
@@ -151,6 +157,7 @@ let crash_pid code = -code - 1
 type stats = {
   configs : int;
   probes : int;
+  probe_steps : int;
   truncated : bool;
   dedup_hits : int;
   sleep_pruned : int;
@@ -196,37 +203,46 @@ exception Violation of witness
    consensus. *)
 let observers_or_defaults = function [] -> Observer.defaults | set -> set
 
-(* Mutable per-run counters, shared by all engines (each parallel worker
-   gets its own and they are merged at the end). *)
-type counters = {
-  mutable configs : int;
-  mutable probes : int;
-  mutable truncated : bool;
-  mutable hits : int;
-  mutable sleeps : int;
-}
-
-let fresh () = { configs = 0; probes = 0; truncated = false; hits = 0; sleeps = 0 }
-
-let merge into c =
-  into.configs <- into.configs + c.configs;
-  into.probes <- into.probes + c.probes;
-  into.truncated <- into.truncated || c.truncated;
-  into.hits <- into.hits + c.hits;
-  into.sleeps <- into.sleeps + c.sleeps
-
-let stats_of c ~elapsed =
-  {
-    configs = c.configs;
-    probes = c.probes;
-    truncated = c.truncated;
-    dedup_hits = c.hits;
-    sleep_pruned = c.sleeps;
-    elapsed;
-  }
-
 module Run (P : Consensus.Proto.S) = struct
   module M = Model.Machine.Make (P.I)
+
+  (* Mutable per-walk counters and the walk's leg table, shared by all
+     engines (each parallel worker gets its own and they are merged at the
+     end).  The table dies with its walk: nothing outlives the run. *)
+  type counters = {
+    mutable configs : int;
+    mutable probes : int;
+    mutable probe_steps : int;  (* merged from finished workers' tables *)
+    mutable truncated : bool;
+    mutable hits : int;
+    mutable sleeps : int;
+    legs : int M.Legs.t;
+  }
+
+  let fresh () =
+    { configs = 0; probes = 0; probe_steps = 0; truncated = false; hits = 0; sleeps = 0;
+      legs = M.Legs.create () }
+
+  let probe_steps c = c.probe_steps + M.Legs.steps c.legs
+
+  let merge into c =
+    into.configs <- into.configs + c.configs;
+    into.probes <- into.probes + c.probes;
+    into.probe_steps <- into.probe_steps + probe_steps c;
+    into.truncated <- into.truncated || c.truncated;
+    into.hits <- into.hits + c.hits;
+    into.sleeps <- into.sleeps + c.sleeps
+
+  let stats_of c ~elapsed =
+    {
+      configs = c.configs;
+      probes = c.probes;
+      probe_steps = probe_steps c;
+      truncated = c.truncated;
+      dedup_hits = c.hits;
+      sleep_pruned = c.sleeps;
+      elapsed;
+    }
 
   let root_config ~record_trace ~inputs =
     let n = Array.length inputs in
@@ -315,26 +331,20 @@ module Run (P : Consensus.Proto.S) = struct
      surface as a termination failure, not retry the same pid forever — and
      report the complete decision set.  Probe steps are the model checker's
      hot loop (every leaf probes every running process, and each probe
-     chains full solo runs), but none of their intermediate configurations
-     is fingerprinted or branched from, so they run on the mutable scratch
-     workspace ([M.Scratch]), several times faster than the persistent
-     machine.  Config-local: the caller checks the post-probe verdict and
-     discards the state, so probes never change the exploration. *)
-  let scratch_outcome ~solo_fuel cfg pid =
-    let s = M.Scratch.of_config cfg in
-    match M.Scratch.run_solo ~fuel:solo_fuel ~pid s with
-    | None -> Observer.Probe_stuck { pid; fuel = solo_fuel }
-    | Some _ ->
-      List.iter
-        (fun q -> ignore (M.Scratch.run_solo ~fuel:solo_fuel ~pid:q s))
-        (M.Scratch.running s);
-      (match M.Scratch.running s with
-       | q :: _ -> Observer.Probe_starved { pid; straggler = q }
-       | [] -> Observer.Probe_decided { pid; decisions = M.Scratch.decisions s })
+     chains full solo runs), yet sibling leaves mostly repeat each other's
+     solo runs, so the probe goes through the walk's leg table
+     ([M.Legs]), which runs only the legs no earlier probe of the walk ran.
+     Config-local: the caller checks the post-probe verdict and discards
+     the state, so probes never change the exploration. *)
+  let probe_outcome ~solo_fuel c cfg pid =
+    match M.Legs.probe c.legs ~fuel:solo_fuel cfg pid with
+    | `Stuck -> Observer.Probe_stuck { pid; fuel = solo_fuel }
+    | `Starved straggler -> Observer.Probe_starved { pid; straggler }
+    | `Decided decisions -> Observer.Probe_decided { pid; decisions }
 
   let obs_probe_one ~solo_fuel ~path c cfg o pid =
     c.probes <- c.probes + 1;
-    let o = Observer.Run.probe o (scratch_outcome ~solo_fuel cfg pid) in
+    let o = Observer.Run.probe o (probe_outcome ~solo_fuel c cfg pid) in
     if Option.is_some (Observer.Run.verdict o) then obs_check ~path ~probe:(Some pid) o
 
   exception Stop
@@ -684,7 +694,7 @@ module Run (P : Consensus.Proto.S) = struct
 
   exception Invalid_schedule
 
-  (* [scratch_outcome]'s probe chain on the persistent machine, for
+  (* [probe_outcome]'s probe chain on the persistent machine, for
      [replay]: a witness replay wants the event trace, which only the
      persistent machine records. *)
   let probe_outcome_steps ~solo_fuel cfg pid =
@@ -865,7 +875,7 @@ module Run (P : Consensus.Proto.S) = struct
         List.iter
           (fun pid ->
             c.probes <- c.probes + 1;
-            match M.Scratch.run_solo ~fuel:solo_fuel ~pid (M.Scratch.of_config cfg) with
+            match M.Legs.solo c.legs ~fuel:solo_fuel cfg pid with
             | Some v -> Hashtbl.replace seen v ()
             | None ->
               raise
@@ -898,13 +908,14 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
     ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline
     ?(observers = []) (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.run: negative crash budget";
+  if solo_fuel < 1 then invalid_arg "Explore.run: solo_fuel < 1";
   let observers = observers_or_defaults observers in
   observer_gate ~reduce ~force observers;
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
   let module R = Run (P) in
   let t0 = Unix.gettimeofday () in
   let past = past_of ~t0 deadline in
-  let c = fresh () in
+  let c = R.fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
   let obs = R.obs_make observers ~inputs root in
   let fpw = R.fingerprint_words_fn ~reduce ~inputs in
@@ -927,7 +938,7 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
     | R.Stop -> `Timeout
   in
   (* engine time only — witness replay/shrink below is timed separately *)
-  let stats = stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
+  let stats = R.stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
   match result with
   | `Done -> Completed stats
   | `Violation w -> Falsified (R.failure ~shrink ~observers ~solo_fuel ~inputs ~stats w)
@@ -954,12 +965,13 @@ let decidable_values ?(solo_fuel = 100_000) ?(shrink = true) ?(reduce = no_reduc
     ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline ?(observers = [])
     (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.decidable_values: negative crash budget";
+  if solo_fuel < 1 then invalid_arg "Explore.decidable_values: solo_fuel < 1";
   observer_gate ~reduce ~force observers;
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
   let module R = Run (P) in
   let t0 = Unix.gettimeofday () in
   let past = past_of ~t0 deadline in
-  let c = fresh () in
+  let c = R.fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
   (* no observers: no property beyond the walk's own solo probes *)
   let obs = R.obs_make observers ~inputs root in
@@ -969,12 +981,12 @@ let decidable_values ?(solo_fuel = 100_000) ?(shrink = true) ?(reduce = no_reduc
   with
   | values -> Completed values
   | exception Violation w ->
-    let stats = stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
+    let stats = R.stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
     Falsified
       (R.failure ~shrink ~observers:(observers_or_defaults observers) ~solo_fuel ~inputs
          ~stats w)
   | exception R.Stop ->
-    let stats = stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
+    let stats = R.stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
     Timed_out { partial = stats; deadline = Option.value deadline ~default:0. }
 
 type deepen_report = {
@@ -989,6 +1001,7 @@ let deepen ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Memo) ?(budget 
     ?shrink ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry
     ?(observers = []) proto ~inputs ~max_depth =
   if max_depth < 1 then invalid_arg "Explore.deepen: max_depth < 1";
+  if solo_fuel < 1 then invalid_arg "Explore.deepen: solo_fuel < 1";
   (* gate (and notify) once at the deepest depth the iteration can reach,
      then let the per-depth runs through — their certificates are implied
      (the per-depth [run]s pass [~force:true], which skips both gates) *)

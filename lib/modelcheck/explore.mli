@@ -135,6 +135,10 @@ val pp_witness : Format.formatter -> witness -> unit
 type stats = {
   configs : int;      (** configurations visited (dedup'd ones not counted) *)
   probes : int;       (** solo/termination probes run *)
+  probe_steps : int;
+      (** solo steps the probes executed: the legs no earlier probe of the
+          walk had run ({!Model.Machine.Make.Legs}), plus the earlier legs
+          of a probe re-run to reach one; summed over parallel workers *)
   truncated : bool;   (** some branch hit the depth bound *)
   dedup_hits : int;   (** revisits pruned by the transposition table *)
   sleep_pruned : int; (** transitions pruned by the commutativity reduction *)
@@ -209,6 +213,9 @@ val run :
     replayed for confirmation and, unless [shrink:false], minimized by
     greedy schedule-segment deletion (each candidate kept iff its replay
     still raises the same violation kind).
+
+    [solo_fuel] defaults to [100_000]; a fuel below 1, like a negative
+    [crashes], raises [Invalid_argument] before anything runs.
 
     [observers] is the property checked ([[]], the default, means
     {!Observer.defaults}): the monitors are advanced inline over every
@@ -293,7 +300,7 @@ val decidable_values :
     witness.  The bivalence walk's own solo probes (which collect the
     decided values) always run; [observers] (default [[]]: no property
     beyond those probes) are checked at every visited configuration on
-    top. *)
+    top.  [solo_fuel] below 1 raises [Invalid_argument], as in {!run}. *)
 
 type deepen_report = {
   depth_reached : int;   (** deepest completed iteration *)
@@ -328,4 +335,5 @@ val deepen :
     [complete = false]), or [Timed_out] if even depth 1 did not finish.
     [Falsified f] if any iteration finds a violation.  The symmetry gate
     ([reduce.symmetric], [force], [notify_symmetry] — see {!run}) fires
-    once, against [max_depth]. *)
+    once, against [max_depth].  [solo_fuel] below 1 raises
+    [Invalid_argument], as in {!run}. *)

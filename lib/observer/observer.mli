@@ -60,7 +60,7 @@ type probe_outcome =
       (** [pid] decided solo, but [straggler] remained undecided after its
           own bounded solo run — a termination failure of the probe chain. *)
 (** The outcome of one solo probe (the probe chain of {!Explore.run}, run
-    on {!Model.Machine.Make.Scratch}). *)
+    through the walk's leg table, {!Model.Machine.Make.Legs}). *)
 
 val probe_pid : probe_outcome -> int
 (** The probed pid the outcome belongs to. *)

@@ -623,6 +623,31 @@ let test_deadline_generous_is_invisible () =
   expect_violation "disagree under deadline"
     (Explore.run ~deadline:3600.0 broken_disagree ~inputs:[| 0; 1 |] ~depth:3)
 
+(* 20. A solo fuel below 1 is refused up front: no probe can decide within
+   zero steps, so such a run used to report every correct protocol as an
+   obstruction-freedom violation. *)
+let test_solo_fuel_positive () =
+  let proto = Consensus.Rw_protocol.protocol and inputs = [| 0; 1 |] in
+  List.iter
+    (fun fuel ->
+      List.iter
+        (fun (ename, engine) ->
+          Alcotest.check_raises
+            (Printf.sprintf "run %s solo_fuel %d" ename fuel)
+            (Invalid_argument "Explore.run: solo_fuel < 1")
+            (fun () -> ignore (Explore.run ~solo_fuel:fuel ~engine proto ~inputs ~depth:2)))
+        engines;
+      Alcotest.check_raises
+        (Printf.sprintf "decidable_values solo_fuel %d" fuel)
+        (Invalid_argument "Explore.decidable_values: solo_fuel < 1")
+        (fun () -> ignore (Explore.decidable_values ~solo_fuel:fuel proto ~inputs ~depth:2));
+      Alcotest.check_raises
+        (Printf.sprintf "deepen solo_fuel %d" fuel)
+        (Invalid_argument "Explore.deepen: solo_fuel < 1")
+        (fun () -> ignore (Explore.deepen ~solo_fuel:fuel proto ~inputs ~max_depth:2)))
+    [ 0; -1 ];
+  ignore (ok_stats (Explore.run ~solo_fuel:1 Consensus.Cas_protocol.protocol ~inputs ~depth:2))
+
 let () =
   Alcotest.run "modelcheck"
     [
@@ -632,6 +657,7 @@ let () =
           Alcotest.test_case "bounded loop protocols" `Quick test_bounded_loop_protocols;
           Alcotest.test_case "three processes" `Quick test_three_process_exploration;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
+          Alcotest.test_case "solo fuel must be positive" `Quick test_solo_fuel_positive;
         ] );
       ( "bivalence",
         [

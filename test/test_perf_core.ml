@@ -194,29 +194,58 @@ let test_scratch_vs_persistent () =
       scratch_differential row.protocol ~inputs:[| 0; 1 |] ~depth:3 ~cap:60 row.id)
     (Hierarchy.rows ())
 
+(* Process 0 spins until location 0 holds a number, then decides it. *)
+let spinner =
+  let open Model.Proc.Syntax in
+  Model.Proc.rec_loop () (fun () ->
+      let* v = Isets.Rw.read 0 in
+      match v with
+      | Model.Value.Int w -> Model.Proc.return (Either.Right w)
+      | _ -> Model.Proc.return (Either.Left ()))
+
+(* The spinner beside a process that writes its input to location 0: the
+   spinner solo never decides (a stuck probe), but decides once the writer
+   has run. *)
+let spin : Consensus.Proto.t =
+  (module struct
+    module I = Isets.Rw
+
+    let name = "spin"
+    let locations ~n:_ = Some 1
+
+    let proc ~n:_ ~pid ~input =
+      let open Model.Proc.Syntax in
+      if pid = 0 then spinner
+      else
+        let* () = Isets.Rw.write 0 (Model.Value.Int input) in
+        Model.Proc.return input
+  end)
+
+(* Two spinners beside a process that decides after one read and writes
+   nothing, so both spinners are left running after it (a starved probe,
+   whose straggler is the lower one), and a blocked process that never
+   runs at all. *)
+let starve : Consensus.Proto.t =
+  (module struct
+    module I = Isets.Rw
+
+    let name = "starve"
+    let locations ~n:_ = Some 2
+
+    let proc ~n:_ ~pid ~input =
+      let open Model.Proc.Syntax in
+      match pid with
+      | 1 ->
+        let* _ = Isets.Rw.read 1 in
+        Model.Proc.return input
+      | 2 -> Model.Proc.loop_forever ()
+      | _ -> spinner
+  end)
+
 (* A process that never decides (spins waiting for a write that cannot
    arrive solo) must be classified identically by both implementations. *)
 let test_scratch_undecided () =
-  let (module P : Consensus.Proto.S) =
-    (module struct
-      module I = Isets.Rw
-
-      let name = "spin"
-      let locations ~n:_ = Some 1
-
-      let proc ~n:_ ~pid ~input =
-        let open Model.Proc.Syntax in
-        if pid = 0 then
-          Model.Proc.rec_loop () (fun () ->
-              let* v = Isets.Rw.read 0 in
-              match v with
-              | Model.Value.Int w -> Model.Proc.return (Either.Right w)
-              | _ -> Model.Proc.return (Either.Left ()))
-        else
-          let* () = Isets.Rw.write 0 (Model.Value.Int input) in
-          Model.Proc.return input
-    end)
-  in
+  let (module P : Consensus.Proto.S) = spin in
   let module M = Model.Machine.Make (P.I) in
   let root = M.make ~record_trace:false ~n:2 (fun pid -> P.proc ~n:2 ~pid ~input:pid) in
   let _, pdec = M.run_solo ~fuel:500 ~pid:0 root in
@@ -224,6 +253,104 @@ let test_scratch_undecided () =
   let sdec = M.Scratch.run_solo ~fuel:500 ~pid:0 s in
   Alcotest.(check (option int)) "spinner undecided in both" pdec sdec;
   Alcotest.(check (option int)) "spinner ran out of fuel" None sdec
+
+(* The leg table vs the Scratch chain.
+
+   A memo walk (each configuration once) visits every configuration within
+   [depth] steps — and [crashes] crash–recoveries — and at each one probes
+   every running pid through one leg table per protocol, so later probes hit
+   the legs of earlier ones, miss, and re-run pending hit legs to reach a
+   miss.  Chain outcome and solo decision must equal the Scratch chain's,
+   the probe chain the engine ran before the leg table.  Returns the steps
+   the table ran and the steps the same chains take run in full. *)
+let legs_differential ?(crashes = 0) (module P : Consensus.Proto.S) ~inputs ~depth ~fuel
+    name =
+  let module M = Model.Machine.Make (P.I) in
+  let n = Array.length inputs in
+  let root =
+    M.make ~record_trace:false ~n (fun pid -> P.proc ~n ~pid ~input:inputs.(pid))
+  in
+  let legs = M.Legs.create () in
+  let show = function
+    | `Stuck -> "stuck"
+    | `Starved q -> Printf.sprintf "starved p%d" q
+    | `Decided ds ->
+      "decided "
+      ^ String.concat "," (List.map (fun (p, v) -> Printf.sprintf "p%d=%d" p v) ds)
+  in
+  let scratch_steps = ref 0 in
+  let scratch_chain cfg pid =
+    let pc, _ = M.run_solo ~fuel ~pid cfg in
+    let pc =
+      if M.decision pc pid = None then pc
+      else List.fold_left (fun c q -> fst (M.run_solo ~fuel ~pid:q c)) pc (M.running pc)
+    in
+    scratch_steps := !scratch_steps + M.steps pc - M.steps cfg;
+    let s = M.Scratch.of_config cfg in
+    match M.Scratch.run_solo ~fuel ~pid s with
+    | None -> `Stuck
+    | Some _ ->
+      List.iter (fun q -> ignore (M.Scratch.run_solo ~fuel ~pid:q s)) (M.Scratch.running s);
+      (match M.Scratch.running s with
+       | q :: _ -> `Starved q
+       | [] -> `Decided (M.Scratch.decisions s))
+  in
+  let seen = Hashtbl.create 97 in
+  let rec go d cfg =
+    if not (Hashtbl.mem seen (M.fingerprint_words cfg)) then begin
+      Hashtbl.add seen (M.fingerprint_words cfg) ();
+      List.iter
+        (fun pid ->
+          let what = Printf.sprintf "%s: p%d after %d steps" name pid (M.steps cfg) in
+          let solo () =
+            Alcotest.(check (option int)) (what ^ ", solo decision")
+              (M.Scratch.run_solo ~fuel ~pid (M.Scratch.of_config cfg))
+              (M.Legs.solo legs ~fuel cfg pid)
+          in
+          (* alternate the order so that solo runs miss too *)
+          if Hashtbl.length seen mod 2 = 0 then solo ();
+          Alcotest.(check string) (what ^ ", probe chain")
+            (show (scratch_chain cfg pid))
+            (show (M.Legs.probe legs ~fuel cfg pid));
+          solo ())
+        (M.running cfg);
+      if d > 0 then begin
+        List.iter (fun pid -> go (d - 1) (M.step cfg pid)) (M.running cfg);
+        if M.crashes cfg < crashes then
+          List.iter (fun pid -> go (d - 1) (M.crash_recover cfg pid)) (M.crashable cfg)
+      end
+    end
+  in
+  go depth root;
+  (M.Legs.steps legs, !scratch_steps)
+
+let test_legs_vs_scratch () =
+  let inputs (row : Hierarchy.row) n =
+    Array.init n (fun i -> if row.binary_only then i land 1 else i)
+  in
+  let runs =
+    List.concat_map
+      (fun (row : Hierarchy.row) ->
+        [ (row.id ^ " n=2", row.protocol, inputs row 2, 6, 0);
+          (row.id ^ " n=3", row.protocol, inputs row 3, 4, 0) ])
+      (Hierarchy.rows ())
+    @ List.filter_map
+        (fun (row : Hierarchy.row) ->
+          if String.starts_with ~prefix:"rc-" row.id then
+            Some (row.id ^ " n=2 crashes=2", row.protocol, inputs row 2, 8, 2)
+          else None)
+        (Hierarchy.rows ~recovery:true ())
+    @ [ ("earliest-writer n=3", Consensus.Assignment_protocol.earliest_writer,
+         [| 0; 1; 2 |], 3, 0);
+        ("spin", spin, [| 0; 1 |], 3, 0);
+        ("starve", starve, [| 0; 1; 2; 3 |], 3, 0) ]
+  in
+  List.iter
+    (fun (name, proto, inputs, depth, crashes) ->
+      let ran, full = legs_differential ~crashes proto ~inputs ~depth ~fuel:300 name in
+      if ran >= full then
+        Alcotest.failf "%s: the leg table ran %d solo steps, the full chains %d" name ran full)
+    runs
 
 (* ------------------------------------------------------------------ *)
 (* Engine differential: verdicts, witness schedules and decidable-value
@@ -369,6 +496,32 @@ let test_commute_pays_for_its_walk () =
   in
   Alcotest.(check int) "swap n=2 d=6 commute completes within 0.1 s" 47
     (configs "swap deadline" v)
+
+(* [probe_steps] counts the solo steps the probes actually ran.  Before
+   the leg table, the probes of the memo run below executed 809,919 solo
+   steps (their chains' lengths summed); the table reuses the legs sibling
+   leaves share, so the run executes well under a quarter of that, with
+   the same configurations and probes.  Under [`Parallel 2] every probe
+   runs in a worker, so a count that dropped the workers' tables would
+   read zero. *)
+let test_probe_steps_counted () =
+  let run engine =
+    match
+      Explore.run ~probe:`Leaves ~engine Consensus.Rw_protocol.protocol
+        ~inputs:[| 0; 1; 2; 3 |] ~depth:10
+    with
+    | Explore.Completed s -> s
+    | v -> Alcotest.failf "rw n=4 d=10: %s, expected completed" (verdict_kind v)
+  in
+  let s = run `Memo in
+  Alcotest.(check int) "configs" 6157 s.configs;
+  Alcotest.(check int) "probes" 11584 s.probes;
+  if s.probe_steps <= 0 || 4 * s.probe_steps >= 809_919 then
+    Alcotest.failf "memo ran %d probe steps, want 1 .. %d" s.probe_steps (809_919 / 4);
+  let p = run (`Parallel 2) in
+  Alcotest.(check int) "parallel probes" 11584 p.probes;
+  if p.probe_steps <= 0 then
+    Alcotest.failf "parallel-2 counted %d probe steps" p.probe_steps
 
 (* ------------------------------------------------------------------ *)
 (* Sharded transposition table. *)
@@ -618,6 +771,7 @@ let () =
           Alcotest.test_case "probe differential over registry" `Slow
             test_scratch_vs_persistent;
           Alcotest.test_case "undecided classification" `Quick test_scratch_undecided;
+          Alcotest.test_case "leg table vs scratch chain" `Quick test_legs_vs_scratch;
         ] );
       ( "engines",
         [
@@ -628,6 +782,7 @@ let () =
             test_decidable_values_differential;
           Alcotest.test_case "commute run pays only for its walk" `Quick
             test_commute_pays_for_its_walk;
+          Alcotest.test_case "probe steps counted" `Quick test_probe_steps_counted;
         ] );
       ( "transposition",
         [
