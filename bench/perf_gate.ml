@@ -1,16 +1,23 @@
 (* CI perf-smoke gate.
 
-   Reads the BENCH_modelcheck.json / BENCH_reduce.json a bench run just
-   wrote, plus the baseline BENCH_modelcheck.json committed in the tree
-   (copied aside before the run overwrites it), and fails (exit 1) when:
+   Reads the BENCH_modelcheck.json / BENCH_reduce.json a full (non-smoke)
+   bench run just wrote, plus the ones committed in the tree (copied aside
+   before the run overwrites them), and fails (exit 1) when:
 
+   - any naive or memo MC row, or any RED row, differs from the committed
+     row of the same task fingerprint in its configs, probes, dedup hits
+     or sleep-pruned count, or either file has a row the other lacks.
+     Outside the parallel engine exploration is deterministic, so this is
+     exact equality: a table or machine change that moves one count, even
+     one that keeps the reductions dominant, fails here.  Parallel rows
+     race, and keep the throughput floor only;
    - any RED row explored *more* configurations under a reduction
      (commute / symmetric / full) than the plain memoized engine did on the
      same (protocol, inputs) — the reductions must dominate plain memo;
    - any memoized MC row's configs/sec fell below the committed baseline's
      slowest memoized rate for that protocol divided by a generous factor
-     (CI machines are noisy and the smoke grid is shallower than the
-     baseline grid, so only an order-of-magnitude collapse trips this);
+     (CI machines are noisy and the committed rates come from another
+     box, so only an order-of-magnitude collapse trips this);
    - with --crash: any crash-free identity row of a fresh BENCH_crash.json
      disagrees with the committed baseline — the crash subsystem's
      zero-budget lane must leave every (protocol, n, depth) configuration
@@ -33,7 +40,9 @@
      [floor_divisor] times the committed ones.
 
    Usage: perf_gate --baseline <committed MC json> \
-                    --current <fresh MC json> --reduce <fresh RED json> \
+                    --current <fresh MC json> \
+                    --reduce-baseline <committed RED json> \
+                    --reduce <fresh RED json> \
                     [--crash <fresh CRASH json>] \
                     [--campaign-baseline <committed CAMP json> \
                      --campaign <fresh CAMP json>] \
@@ -42,8 +51,8 @@
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("perf-gate: " ^ s); exit 2) fmt
 
-(* An order-of-magnitude guard, not a tight bound: the smoke grid is
-   shallower than the baseline grid and CI boxes are noisy. *)
+(* An order-of-magnitude guard, not a tight bound: CI boxes are noisy and
+   the committed timings come from another box. *)
 let floor_divisor = 8.0
 
 let read_json path =
@@ -65,6 +74,51 @@ let int name j = Campaign.Json.(get_int (member name j)) |> Option.value ~defaul
 
 let extra_float name j =
   Campaign.Json.(get_float (member name (member "extra" j)))
+
+(* ------------------------------------------------------ exact counts -- *)
+
+let counters = [ "configs"; "probes"; "dedup_hits"; "sleep_pruned" ]
+
+(* [what]'s rows that [keep] selects, by task fingerprint, in the committed
+   and the fresh file: the same fingerprints, with equal counters. *)
+let check_exact_counts what ~keep ~baseline current =
+  if Campaign.Json.(get_bool (member "smoke" current)) <> Some false then
+    die "the exact %s count check needs a full (non-smoke) run" what;
+  let by_task json =
+    let tbl = Hashtbl.create 32 in
+    List.iter (fun r -> if keep r then Hashtbl.replace tbl (str "task" r) r) (rows json);
+    tbl
+  in
+  let base = by_task baseline and fresh = by_task current in
+  let label r =
+    Printf.sprintf "%s n=%d d=%d %s/%s%s" (str "row" r) (int "n" r) (int "depth" r)
+      (str "engine" r) (str "reduce" r)
+      (match Campaign.Json.(get_string (member "inputs" (member "extra" r))) with
+       | Some s -> " " ^ s
+       | None -> "")
+  in
+  let failures = ref 0 in
+  let fail fmt = Printf.ksprintf (fun s -> incr failures; print_endline ("FAIL " ^ s)) fmt in
+  Hashtbl.iter
+    (fun task r ->
+      match Hashtbl.find_opt fresh task with
+      | None -> fail "%s %s: missing from the fresh run" what (label r)
+      | Some r' ->
+        List.iter
+          (fun c ->
+            if int c r' <> int c r then
+              fail "%s %s: %s %d, committed %d" what (label r) c (int c r') (int c r))
+          counters)
+    base;
+  Hashtbl.iter
+    (fun task r ->
+      if not (Hashtbl.mem base task) then
+        fail "%s %s: not in the committed run" what (label r))
+    fresh;
+  if !failures = 0 then
+    Printf.printf "ok   %d %s rows: %s = committed baseline\n" (Hashtbl.length base) what
+      (String.concat ", " counters);
+  !failures
 
 (* --------------------------------------------------- RED domination -- *)
 
@@ -312,12 +366,14 @@ let check_lint ~baseline current =
   !failures
 
 let () =
-  let baseline = ref "" and current = ref "" and reduce = ref "" and crash = ref "" in
+  let baseline = ref "" and current = ref "" and crash = ref "" in
+  let reduce_baseline = ref "" and reduce = ref "" in
   let campaign_baseline = ref "" and campaign = ref "" in
   let lint_baseline = ref "" and lint = ref "" in
   let rec parse = function
     | "--baseline" :: v :: rest -> baseline := v; parse rest
     | "--current" :: v :: rest -> current := v; parse rest
+    | "--reduce-baseline" :: v :: rest -> reduce_baseline := v; parse rest
     | "--reduce" :: v :: rest -> reduce := v; parse rest
     | "--crash" :: v :: rest -> crash := v; parse rest
     | "--campaign-baseline" :: v :: rest -> campaign_baseline := v; parse rest
@@ -328,14 +384,24 @@ let () =
     | a :: _ -> die "unknown argument %s" a
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !baseline = "" || !current = "" || !reduce = "" then
+  if !baseline = "" || !current = "" || !reduce_baseline = "" || !reduce = "" then
     die
-      "usage: perf_gate --baseline <mc.json> --current <mc.json> --reduce <red.json> \
-       [--crash <crash.json>] [--campaign-baseline <camp.json> --campaign <camp.json>] \
-       [--lint-baseline <lint.json> --lint <lint.json>]";
+      "usage: perf_gate --baseline <mc.json> --current <mc.json> --reduce-baseline \
+       <red.json> --reduce <red.json> [--crash <crash.json>] [--campaign-baseline \
+       <camp.json> --campaign <camp.json>] [--lint-baseline <lint.json> --lint <lint.json>]";
   if (!campaign_baseline = "") <> (!campaign = "") then
     die "--campaign-baseline and --campaign go together";
   if (!lint_baseline = "") <> (!lint = "") then die "--lint-baseline and --lint go together";
+  print_endline "== exact counts (naive and memo MC rows, RED rows vs committed) ==";
+  let f0_mc =
+    check_exact_counts "MC"
+      ~keep:(fun r -> List.mem (str "engine" r) [ "naive"; "memo" ])
+      ~baseline:(read_json !baseline) (read_json !current)
+  in
+  let f0_red =
+    check_exact_counts "RED" ~keep:(fun _ -> true) ~baseline:(read_json !reduce_baseline)
+      (read_json !reduce)
+  in
   print_endline "== reduction domination (RED rows) ==";
   let f1 = check_reduction_domination (read_json !reduce) in
   print_endline "== memoized throughput floor (MC rows) ==";
@@ -363,7 +429,7 @@ let () =
       check_lint ~baseline:(read_json !lint_baseline) (read_json !lint)
     end
   in
-  let failures = f1 + f2 + f3 + f4 + f5 in
+  let failures = f0_mc + f0_red + f1 + f2 + f3 + f4 + f5 in
   if failures > 0 then begin
     Printf.printf "perf-gate: %d failure(s)\n" failures;
     exit 1

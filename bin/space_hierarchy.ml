@@ -102,6 +102,7 @@ let modelcheck_cmd =
              Explore.run ~probe ~engine ~shrink:(not no_shrink) ~reduce ~crashes ~force
                ~observers ~notify_symmetry ?deadline:timeout row.protocol ~inputs ~depth
            with
+           | exception Invalid_argument msg -> `Error (false, msg)
            | exception Explore.Observer_unsafe_reduction { observer; reduction } ->
              `Error
                ( false,

@@ -34,7 +34,7 @@ type t = {
   reduce : string;    (** ["none"], ["commute"], ["symmetric"], ["full"] *)
   observers : string list;
       (** observer names the check ran under ({!Task.t.observe}); [[]]
-          means the legacy hard-coded checks.  Serialized only when
+          means {!Observer.defaults}.  Serialized only when
           non-empty, so pre-observer records parse back unchanged. *)
   crashes : int;
       (** crash budget of the check ([Explore.run ?crashes]); [0] means a

@@ -50,5 +50,5 @@ val to_json : t -> Json.t
 val to_csv : t -> string
 (** One line per record:
     [row,n,kind,engine,reduce,observers,depth,status,configs,probes,elapsed,task]
-    — [observers] is the ["+"]-joined observer-name list, empty for the
-    legacy checks. *)
+    — [observers] is the ["+"]-joined observer-name list, empty for
+    {!Observer.defaults}. *)

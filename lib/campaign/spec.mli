@@ -19,7 +19,7 @@ type t = {
   deadline : float option;  (** per-task wall-clock budget for checks *)
   observe : string list;
       (** observer names ({!Observer.of_names}; ["default"] expands) applied
-          to every [Check] task; empty means the legacy hard-coded checks.
+          to every [Check] task; empty means {!Observer.defaults}.
           Validated and canonicalized by {!tasks}, so a misspelt name fails
           the whole expansion rather than crashing tasks one by one. *)
   crashes : int;

@@ -36,11 +36,12 @@ type t = {
   observe : string list;
       (** observer names ({!Observer.of_names}) checked during [Check]
           work; resolved at {!run} time, so an unknown name yields a
-          [Crash] record rather than an exception.  Empty — always the
-          case for [Stress] — means the legacy hard-coded
-          agreement/validity/termination checks.  A non-empty set is part
-          of the task's {!fingerprint}: observed and unobserved runs of
-          the same grid point are distinct store entries. *)
+          [Crash] record rather than an exception.  Empty means
+          {!Observer.defaults} (agreement, validity, solo termination) for
+          [Check]; [Stress] tasks always have it empty and check the
+          driver's decisions for agreement and validity.  A non-empty set
+          is part of the task's {!fingerprint}: observed and unobserved
+          runs of the same grid point are distinct store entries. *)
   work : work;
 }
 

@@ -1,5 +1,4 @@
 module Imap = Map.Make (Int)
-module Iset_int = Set.Make (Int)
 
 (* Multiplicative mix (64-bit FNV prime) with an avalanche shift, shared by
    the per-process history hashes and the slow-path fingerprints. *)
@@ -53,27 +52,28 @@ module Make (I : Iset.S) = struct
      [I.hash_cell] runs once per write and is a lookup ever after. *)
   type 'a config = {
     mem : (I.cell * int * int) Imap.t;
-        (* loc -> (cell, lane-A contribution, lane-B contribution);
-           contributions are (0, 0) for cells equal to [I.init], which keeps
-           an explicit write of the initial value indistinguishable from an
-           untouched location *)
+        (* loc -> (cell, lane-A contribution, lane-B contribution), for
+           every location ever accessed — so its keys are the locations
+           used; contributions are (0, 0) for cells equal to [I.init],
+           which keeps an explicit write of the initial value
+           indistinguishable from an untouched location *)
     procs : 'a proc array;
     root : int -> 'a proc;
         (* the process builder [make] was given: a crash–recover transition
            restarts a process from [root pid] (program state is lost, the
            shared memory above survives — Golab's crash–recovery model) *)
     steps : int;
-    steps_per_process : int array;
-    touched : Iset_int.t;
+    words : int array;
+        (* four words per process, at [4 * pid]: the rolling hash of its
+           observed results ([w_hist]), its steps ([w_steps]), its steps
+           since its last start or recovery ([w_esteps] — a process with
+           none is at its root, so crashing it again changes nothing but
+           its epoch, and [crashable] excludes it) and its recovery epoch,
+           the crashes it survived ([w_epoch]).  One array, so a step
+           copies it and [procs] and nothing else. *)
     trace : event list;  (* most recent first *)
     record_trace : bool;
     running_count : int;  (* cached |running|, kept exact by [step] *)
-    hist : int array;  (* rolling hash of each process's observed results *)
-    epochs : int array;  (* recovery epoch per process: crashes survived *)
-    esteps : int array;
-        (* steps taken since the process's last start/recovery; a process
-           with [esteps = 0] is at its root, so crashing it again changes
-           nothing but the epoch counter — [crashable] excludes it *)
     crashes : int;  (* total crash–recover transitions so far *)
     mem_a : int;  (* sum of every cell's lane-A contribution *)
     mem_b : int;
@@ -84,6 +84,13 @@ module Make (I : Iset.S) = struct
   }
 
   exception Multi_assignment_not_supported
+
+  let w_hist = 0
+  let w_steps = 1
+  let w_esteps = 2
+  let w_epoch = 3
+  let word cfg pid w = cfg.words.((4 * pid) + w)
+  let hist cfg pid = word cfg pid w_hist
 
   (* One cell's (or history slot's) contribution to a digest lane: avalanche
      the content hash salted by the slot index, with lane-specific input
@@ -124,14 +131,10 @@ module Make (I : Iset.S) = struct
       procs;
       root = f;
       steps = 0;
-      steps_per_process = Array.make n 0;
-      touched = Iset_int.empty;
+      words = Array.make (4 * n) 0;
       trace = [];
       record_trace;
       running_count;
-      hist = Array.make n 0;
-      epochs = Array.make n 0;
-      esteps = Array.make n 0;
       crashes = 0;
       mem_a = 0;
       mem_b = 0;
@@ -171,18 +174,18 @@ module Make (I : Iset.S) = struct
     | Proc.Done _ -> None
 
   let steps cfg = cfg.steps
-  let steps_of cfg pid = cfg.steps_per_process.(pid)
-  let epoch cfg pid = cfg.epochs.(pid)
+  let steps_of cfg pid = word cfg pid w_steps
+  let epoch cfg pid = word cfg pid w_epoch
   let crashes cfg = cfg.crashes
 
   let crashable cfg =
     let out = ref [] in
     for pid = Array.length cfg.procs - 1 downto 0 do
-      if cfg.esteps.(pid) > 0 then out := pid :: !out
+      if word cfg pid w_esteps > 0 then out := pid :: !out
     done;
     !out
-  let locations_used cfg = Iset_int.cardinal cfg.touched
-  let max_location cfg = Iset_int.max_elt_opt cfg.touched
+  let locations_used cfg = Imap.cardinal cfg.mem
+  let max_location cfg = Option.map fst (Imap.max_binding_opt cfg.mem)
 
   let fold_cells cfg ~init ~f =
     Imap.fold (fun loc (c, _, _) acc -> f acc loc c) cfg.mem init
@@ -219,12 +222,18 @@ module Make (I : Iset.S) = struct
      so crash-free values equal the pre-crash-subsystem fold exactly. *)
   let epochs_hash cfg acc =
     let acc = ref acc in
-    Array.iteri
-      (fun pid e -> if e > 0 then acc := mix (mix !acc (pid lxor 0xC3A5)) e)
-      cfg.epochs;
+    for pid = 0 to Array.length cfg.procs - 1 do
+      let e = epoch cfg pid in
+      if e > 0 then acc := mix (mix !acc (pid lxor 0xC3A5)) e
+    done;
     !acc
 
-  let slow_fingerprint cfg = epochs_hash cfg (Array.fold_left mix (mem_hash cfg) cfg.hist)
+  let slow_fingerprint cfg =
+    let acc = ref (mem_hash cfg) in
+    for pid = 0 to Array.length cfg.procs - 1 do
+      acc := mix !acc (hist cfg pid)
+    done;
+    epochs_hash cfg !acc
 
   (* Quotient the fingerprint by process permutations: hash each process as a
      (input, history, decision) triple and fold the triples in sorted order,
@@ -250,12 +259,12 @@ module Make (I : Iset.S) = struct
         | Proc.Done v -> mix 0x51ded (Hashtbl.hash v)
         | Proc.Step _ -> 0x0b5e55
       in
-      let c = mix (mix (mix 0x7f4a7c15 inputs.(pid)) cfg.hist.(pid)) d in
+      let c = mix (mix (mix 0x7f4a7c15 inputs.(pid)) (hist cfg pid)) d in
       (* the recovery epoch travels with the process state it identifies:
          same-input processes swap roles only if their epochs swap too.
          Epoch 0 leaves the component untouched (crash-free bit-identity). *)
-      comp.(pid) <-
-        (if cfg.epochs.(pid) = 0 then c else mix c (cfg.epochs.(pid) lxor 0xC3A5))
+      let e = epoch cfg pid in
+      comp.(pid) <- (if e = 0 then c else mix c (e lxor 0xC3A5))
     done;
     Array.sort compare comp;
     comp
@@ -301,20 +310,19 @@ module Make (I : Iset.S) = struct
   (* Assemble the successor configuration once a step's memory effects and
      results are known — shared by the singleton fast path and the
      multi-assignment branch of [step]. *)
-  let finish_step cfg pid k accesses results mem touched mem_a mem_b =
+  let finish_step cfg pid k accesses results mem mem_a mem_b =
     let procs = Array.copy cfg.procs in
     let next = k results in
     procs.(pid) <- next;
-    let steps_per_process = Array.copy cfg.steps_per_process in
-    steps_per_process.(pid) <- steps_per_process.(pid) + 1;
-    let hist = Array.copy cfg.hist in
-    let old_h = hist.(pid) in
+    let words = Array.copy cfg.words in
+    let w = 4 * pid in
+    let old_h = words.(w + w_hist) in
     let new_h =
       List.fold_left (fun acc r -> mix acc (I.hash_result r)) (mix old_h 0x9e37) results
     in
-    hist.(pid) <- new_h;
-    let esteps = Array.copy cfg.esteps in
-    esteps.(pid) <- esteps.(pid) + 1;
+    words.(w + w_hist) <- new_h;
+    words.(w + w_steps) <- words.(w + w_steps) + 1;
+    words.(w + w_esteps) <- words.(w + w_esteps) + 1;
     let trace =
       if cfg.record_trace then
         Step
@@ -327,12 +335,9 @@ module Make (I : Iset.S) = struct
       mem;
       procs;
       steps = cfg.steps + 1;
-      steps_per_process;
-      touched;
+      words;
       trace;
       running_count = (cfg.running_count - if runnable next then 0 else 1);
-      hist;
-      esteps;
       mem_a;
       mem_b;
       hist_a = cfg.hist_a - hist_contrib_a pid old_h + hist_contrib_a pid new_h;
@@ -346,26 +351,29 @@ module Make (I : Iset.S) = struct
     | Proc.Step (([ (loc, op) ] as accesses), k) ->
       (* the overwhelmingly common shape: one instruction on one location *)
       if loc < 0 then invalid_arg "Machine.step: negative location";
-      let c, pa, pb =
-        match Imap.find_opt loc cfg.mem with
-        | Some cell -> cell
-        | None -> (I.init, 0, 0)
-      in
+      let found = Imap.find_opt loc cfg.mem in
+      let c, pa, pb = match found with Some slot -> slot | None -> (I.init, 0, 0) in
       let c', r = I.apply op c in
-      let na, nb =
-        if I.equal_cell c' I.init then (0, 0)
-        else begin
-          let hc = I.hash_cell c' in
-          (cell_contrib_a loc hc, cell_contrib_b loc hc)
-        end
-      in
-      finish_step cfg pid k accesses [ r ]
-        (Imap.add loc (c', na, nb) cfg.mem)
-        (Iset_int.add loc cfg.touched)
-        (cfg.mem_a + na - pa) (cfg.mem_b + nb - pb)
+      (* a cell [I.apply] returns physically unchanged (a read, a failed
+         compare-and-swap) at a location already in [mem] leaves memory
+         and its lanes as they are *)
+      if c' == c && Option.is_some found then
+        finish_step cfg pid k accesses [ r ] cfg.mem cfg.mem_a cfg.mem_b
+      else begin
+        let na, nb =
+          if I.equal_cell c' I.init then (0, 0)
+          else begin
+            let hc = I.hash_cell c' in
+            (cell_contrib_a loc hc, cell_contrib_b loc hc)
+          end
+        in
+        finish_step cfg pid k accesses [ r ]
+          (Imap.add loc (c', na, nb) cfg.mem)
+          (cfg.mem_a + na - pa) (cfg.mem_b + nb - pb)
+      end
     | Proc.Step (accesses, k) ->
       if not I.multi_assignment then raise Multi_assignment_not_supported;
-      let apply_one (mem, rs, touched, ma, mb) (loc, op) =
+      let apply_one (mem, rs, ma, mb) (loc, op) =
         if loc < 0 then invalid_arg "Machine.step: negative location";
         let c, pa, pb =
           match Imap.find_opt loc mem with
@@ -380,16 +388,12 @@ module Make (I : Iset.S) = struct
             (cell_contrib_a loc hc, cell_contrib_b loc hc)
           end
         in
-        ( Imap.add loc (c', na, nb) mem,
-          r :: rs,
-          Iset_int.add loc touched,
-          ma + na - pa,
-          mb + nb - pb )
+        (Imap.add loc (c', na, nb) mem, r :: rs, ma + na - pa, mb + nb - pb)
       in
-      let mem, rev_results, touched, mem_a, mem_b =
-        List.fold_left apply_one (cfg.mem, [], cfg.touched, cfg.mem_a, cfg.mem_b) accesses
+      let mem, rev_results, mem_a, mem_b =
+        List.fold_left apply_one (cfg.mem, [], cfg.mem_a, cfg.mem_b) accesses
       in
-      finish_step cfg pid k accesses (List.rev rev_results) mem touched mem_a mem_b
+      finish_step cfg pid k accesses (List.rev rev_results) mem mem_a mem_b
 
   (* The crash–recover transition (Golab, arXiv 1804.10597): the process
      loses its program state — continuation, observed-result history, even a
@@ -404,15 +408,14 @@ module Make (I : Iset.S) = struct
     let fresh = cfg.root pid in
     let procs = Array.copy cfg.procs in
     procs.(pid) <- fresh;
-    let hist = Array.copy cfg.hist in
-    let old_h = hist.(pid) in
-    hist.(pid) <- 0;
-    let epochs = Array.copy cfg.epochs in
-    let old_e = epochs.(pid) in
+    let words = Array.copy cfg.words in
+    let w = 4 * pid in
+    let old_h = words.(w + w_hist) in
+    words.(w + w_hist) <- 0;
+    let old_e = words.(w + w_epoch) in
     let new_e = old_e + 1 in
-    epochs.(pid) <- new_e;
-    let esteps = Array.copy cfg.esteps in
-    esteps.(pid) <- 0;
+    words.(w + w_epoch) <- new_e;
+    words.(w + w_esteps) <- 0;
     let trace =
       if cfg.record_trace then Crash { pid; epoch = new_e } :: cfg.trace else cfg.trace
     in
@@ -424,9 +427,7 @@ module Make (I : Iset.S) = struct
         (cfg.running_count
         - (if runnable old_p then 1 else 0)
         + if runnable fresh then 1 else 0);
-      hist;
-      epochs;
-      esteps;
+      words;
       crashes = cfg.crashes + 1;
       hist_a = cfg.hist_a - hist_contrib_a pid old_h + hist_contrib_a pid 0;
       hist_b = cfg.hist_b - hist_contrib_b pid old_h + hist_contrib_b pid 0;
@@ -476,8 +477,8 @@ module Make (I : Iset.S) = struct
      and the process's final state — is a function of that memory and of
      the process's state, and the configuration already names both: the
      memory lanes [mem_a]/[mem_b], and the process's result history
-     [hist.(pid)] (a process is a deterministic function of the results it
-     has seen since its last start).  So [(mem_a, mem_b, pid, hist.(pid))]
+     [hist cfg pid] (a process is a deterministic function of the results it
+     has seen since its last start).  So [(mem_a, mem_b, pid, hist cfg pid)]
      keys a leg exactly as far as the fingerprint keys a configuration,
      modulo hash collisions.  No epoch is needed: a crash restarts the
      process at its root with [hist] reset to 0, the same state as before
@@ -574,7 +575,7 @@ module Make (I : Iset.S) = struct
     (* [q]'s leg from the chain's current lanes: looked up, or run after
        the pending legs and recorded.  Returns [q]'s final state. *)
     let leg t ~fuel cfg ch q =
-      let key = { ka = ch.a; kb = ch.b; kpid = q; khist = cfg.hist.(q) } in
+      let key = { ka = ch.a; kb = ch.b; kpid = q; khist = hist cfg q } in
       let l =
         match Tbl.find_opt t.legs key with
         | Some l ->

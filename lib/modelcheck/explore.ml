@@ -65,7 +65,8 @@
      exploration (states conflated that the protocol distinguishes), the
      reduction is gated on [Analysis.Symmetry.certify_for_run]: every
      equal-input pid pair is certified pid-oblivious through the requested
-     depth by lockstep symbolic unfolding.  An uncertified protocol raises
+     depth, on the protocol's CFG first and, when that cannot conclude, by
+     lockstep symbolic unfolding.  An uncertified protocol raises
      [Uncertified_symmetry] instead of exploring unsoundly; [~force:true]
      overrides the gate (for experiments — e.g. measuring what the unsound
      reduction would prune), and [~notify_symmetry] surfaces the verdict to
@@ -134,6 +135,21 @@ let certify_gate ~reduce ~force ~notify (module P : Consensus.Proto.S) ~inputs ~
     if (not (Analysis.Symmetry.certified verdict)) && not force then
       raise (Uncertified_symmetry { protocol = P.name; verdict })
   end
+
+(* The transposition table packs each claim's depth and sleep set into one
+   int ([Transposition.max_depth], [Transposition.max_sleep_pids]); a value
+   outside its field would silently merge distinct claims, so every entry
+   point refuses such input before exploring anything.  Without the
+   commutativity reduction every sleep set is empty, whatever [n]. *)
+let claim_gate fn ~reduce ~inputs ~depth =
+  if depth < 0 || depth > Transposition.max_depth then
+    invalid_arg
+      (Printf.sprintf "Explore.%s: depth %d outside 0..%d" fn depth
+         Transposition.max_depth);
+  if reduce.commute && Array.length inputs > Transposition.max_sleep_pids then
+    invalid_arg
+      (Printf.sprintf "Explore.%s: the commute reduction takes at most %d processes, not %d"
+         fn Transposition.max_sleep_pids (Array.length inputs))
 
 let kind_name (kind : string) = kind
 
@@ -909,6 +925,7 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
     ?(observers = []) (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.run: negative crash budget";
   if solo_fuel < 1 then invalid_arg "Explore.run: solo_fuel < 1";
+  claim_gate "run" ~reduce ~inputs ~depth;
   let observers = observers_or_defaults observers in
   observer_gate ~reduce ~force observers;
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
@@ -966,6 +983,7 @@ let decidable_values ?(solo_fuel = 100_000) ?(shrink = true) ?(reduce = no_reduc
     (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.decidable_values: negative crash budget";
   if solo_fuel < 1 then invalid_arg "Explore.decidable_values: solo_fuel < 1";
+  claim_gate "decidable_values" ~reduce ~inputs ~depth;
   observer_gate ~reduce ~force observers;
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
   let module R = Run (P) in
@@ -1002,6 +1020,7 @@ let deepen ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Memo) ?(budget 
     ?(observers = []) proto ~inputs ~max_depth =
   if max_depth < 1 then invalid_arg "Explore.deepen: max_depth < 1";
   if solo_fuel < 1 then invalid_arg "Explore.deepen: solo_fuel < 1";
+  claim_gate "deepen" ~reduce ~inputs ~depth:max_depth;
   (* gate (and notify) once at the deepest depth the iteration can reach,
      then let the per-depth runs through — their certificates are implied
      (the per-depth [run]s pass [~force:true], which skips both gates) *)

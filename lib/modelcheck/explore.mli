@@ -215,7 +215,10 @@ val run :
     still raises the same violation kind).
 
     [solo_fuel] defaults to [100_000]; a fuel below 1, like a negative
-    [crashes], raises [Invalid_argument] before anything runs.
+    [crashes], raises [Invalid_argument] before anything runs.  So does
+    input the transposition table's packed claims cannot hold: a [depth]
+    outside [0 .. Transposition.max_depth], or [reduce.commute] with more
+    than [Transposition.max_sleep_pids] processes.
 
     [observers] is the property checked ([[]], the default, means
     {!Observer.defaults}): the monitors are advanced inline over every
@@ -300,7 +303,8 @@ val decidable_values :
     witness.  The bivalence walk's own solo probes (which collect the
     decided values) always run; [observers] (default [[]]: no property
     beyond those probes) are checked at every visited configuration on
-    top.  [solo_fuel] below 1 raises [Invalid_argument], as in {!run}. *)
+    top.  [solo_fuel] below 1 and a [depth] or process count the table
+    cannot hold raise [Invalid_argument], as in {!run}. *)
 
 type deepen_report = {
   depth_reached : int;   (** deepest completed iteration *)
@@ -335,5 +339,6 @@ val deepen :
     [complete = false]), or [Timed_out] if even depth 1 did not finish.
     [Falsified f] if any iteration finds a violation.  The symmetry gate
     ([reduce.symmetric], [force], [notify_symmetry] — see {!run}) fires
-    once, against [max_depth].  [solo_fuel] below 1 raises
-    [Invalid_argument], as in {!run}. *)
+    once, against [max_depth].  [solo_fuel] below 1 and a [max_depth] or
+    process count the table cannot hold raise [Invalid_argument], as in
+    {!run}. *)

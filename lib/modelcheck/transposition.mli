@@ -8,7 +8,13 @@
     pass — every enabled transition outside the sleep set [S] explored to
     remaining depth [d].  Claims are inserted optimistically, before the
     subtree is walked; see [transposition.ml] for why that is sound for
-    both engines. *)
+    both engines.
+
+    Each shard is one flat open-addressed [int array], three words per key
+    (both fingerprint lanes and one packed claim), probed linearly; the
+    rare key that needs two to four claims keeps them in a per-shard spill
+    pool.  A claim packs into one int, so its depth and sleep set have
+    fixed widths: {!max_depth} and {!max_sleep_pids}. *)
 
 type t
 
@@ -24,6 +30,13 @@ type plan =
           the per-configuration work — the state itself was checked when
           first visited.  A claim for this pass has been recorded. *)
 
+val max_depth : int
+(** The largest [depth] a claim holds. *)
+
+val max_sleep_pids : int
+(** The sleep field's width: a [sleep] set may name pids
+    [0 .. max_sleep_pids - 1]. *)
+
 val create : ?shards:int -> concurrent:bool -> unit -> t
 (** [create ~concurrent ()] makes an empty table.  [shards] (rounded up to
     a power of two) defaults to 64 when [concurrent], else 1.  With
@@ -35,7 +48,10 @@ val shard_count : t -> int
 val plan : t -> int -> int -> depth:int -> sleep:int -> plan
 (** [plan t a b ~depth ~sleep] consults and updates the table for the
     configuration fingerprinted [(a, b)], reached with [depth] remaining
-    steps and the pid bitmask [sleep] asleep.  Atomic per shard. *)
+    steps and the pid bitmask [sleep] asleep.  Atomic per shard.  [depth]
+    must lie in [0 .. max_depth] and [sleep] name only pids below
+    {!max_sleep_pids}: the caller checks, once per run (a value outside
+    the fields would merge distinct claims). *)
 
 val stats : t -> int
 (** Total number of distinct fingerprints claimed across all shards. *)

@@ -1,9 +1,60 @@
 (* Reference implementations the tests compare the model checker against:
    a hard-coded consensus checker (agreement and validity over the
-   decisions each configuration holds, plus solo probes) and the unmemoized
-   bivalence walk.  Both are plain naive walks of every schedule on the
-   persistent machine, kept deliberately simple and independent of
-   [Observer], [Transposition] and [Machine.Scratch]. *)
+   decisions each configuration holds, plus solo probes), the unmemoized
+   bivalence walk, and the claim-list transposition table.  The two walks
+   are plain naive walks of every schedule on the persistent machine, kept
+   deliberately simple and independent of [Observer], [Transposition] and
+   [Machine.Scratch]. *)
+
+(* The transposition table as one [Hashtbl] of claim lists, the layout
+   [Transposition] had before its flat open-addressed shards: the same
+   Hit / Visit / Partial rules, newest-first claims capped at [max_claims]
+   — the differential reference for the flat table.  Sharding splits keys,
+   not semantics, so the reference needs none. *)
+module Claim_table = struct
+  type plan = Transposition.plan = Hit | Visit | Partial of int
+
+  (* (lane_a, lane_b) -> claims [(depth, sleep); ...], newest first; no
+     claim dominates another *)
+  type t = (int * int, (int * int) list) Hashtbl.t
+
+  let max_claims = 4
+  let create () : t = Hashtbl.create 1024
+
+  (* [covers (d1, s1) (d2, s2)]: a pass at depth [d1] from sleep set [s1]
+     explores a superset of what a pass at depth [d2] from sleep set [s2]
+     would. *)
+  let covers (d1, s1) (d2, s2) = d1 >= d2 && s1 land lnot s2 = 0
+
+  let plan t a b ~depth ~sleep =
+    let key = (a, b) in
+    let claims = Option.value (Hashtbl.find_opt t key) ~default:[] in
+    if List.exists (fun c -> covers c (depth, sleep)) claims then Hit
+    else begin
+      (* prior passes deep enough to cover this revisit's subtrees *)
+      let applicable = List.filter (fun (d', _) -> d' >= depth) claims in
+      let claim, result =
+        match applicable with
+        | [] -> ((depth, sleep), Visit)
+        | _ ->
+          (* a transition needs (re-)exploration only if every adequate
+             prior pass had it asleep *)
+          let inter = List.fold_left (fun m (_, s') -> m land s') (-1) applicable in
+          ((depth, sleep land inter), Partial inter)
+      in
+      let kept = List.filter (fun c -> not (covers claim c)) claims in
+      let kept =
+        (* cap the list; dropping the oldest surviving claim is sound *)
+        if List.length kept >= max_claims then
+          List.filteri (fun i _ -> i < max_claims - 1) kept
+        else kept
+      in
+      Hashtbl.replace t key (claim :: kept);
+      result
+    end
+
+  let stats = Hashtbl.length
+end
 
 type violation = {
   kind : string;

@@ -1,8 +1,10 @@
 (* Differential tests for the raw-speed pass over the exploration core:
    the maintained flat fingerprint vs the reference fold, the Scratch probe
-   workspace vs the persistent machine, the sharded transposition table and
-   symmetry cache under concurrent domains, op interning, and the Bignum
-   small-operand fast paths. *)
+   workspace vs the persistent machine, the flat transposition table vs the
+   claim-list reference and under concurrent domains, the machine's
+   per-process words vs the recorded trace, the symmetry cache under
+   concurrent domains, op interning, and the Bignum small-operand fast
+   paths. *)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint partition agreement.
@@ -23,12 +25,11 @@ let check_partition name pairs =
       (match Hashtbl.find_opt by_flat f with
       | Some s' ->
         if s' <> s then
-          Alcotest.failf "%s: flat fp %d maps to slow fps %d and %d" name f s' s
+          Alcotest.failf "%s: one flat fp maps to slow fps %d and %d" name s' s
       | None -> Hashtbl.add by_flat f s);
       match Hashtbl.find_opt by_slow s with
       | Some f' ->
-        if f' <> f then
-          Alcotest.failf "%s: slow fp %d maps to flat fps %d and %d" name s f' f
+        if f' <> f then Alcotest.failf "%s: slow fp %d maps to two flat fps" name s
       | None -> Hashtbl.add by_slow s f)
     pairs
 
@@ -585,6 +586,177 @@ let test_transposition_concurrent_stress () =
   done;
   Alcotest.(check int) "every key claimed once" keys (Transposition.stats t)
 
+(* The flat table against the claim-list reference ([Reference.Claim_table],
+   the layout it replaced), on seeded plan traffic.  Keys come from a small
+   pool in which most keys share their low lane bits — one shard, one home
+   slot until the table has grown past those bits, so probe chains run
+   long — plus the all-zero lanes; a key's share of the traffic shrinks as
+   the pool opens up, so keys collect several claims while the table
+   doubles.  Depths 0–20 and sleep sets over 6 pids make incomparable
+   claims common, which exercises the spill pool and the four-claim cap. *)
+let test_transposition_vs_claim_lists () =
+  let run ?shards ~concurrent seed =
+    let rng = Random.State.make [| seed |] in
+    let pool_size = 4000 in
+    let shared_low = 0x2a5 in
+    let keys =
+      Array.init pool_size (fun i ->
+          if i = 0 then (0, 0)
+          else if i mod 4 = 0 then (Random.State.bits rng, Random.State.bits rng)
+          else
+            ( (Random.State.bits rng lsl 12) lor shared_low,
+              (Random.State.bits rng lsl 10) lor shared_low ))
+    in
+    let t = Transposition.create ?shards ~concurrent () in
+    let r = Reference.Claim_table.create () in
+    let calls = 100_000 in
+    let hits = ref 0 and visits = ref 0 and partials = ref 0 in
+    for i = 1 to calls do
+      let a, b = keys.(Random.State.int rng (min pool_size (1 + (i / 20)))) in
+      let depth = Random.State.int rng 21 and sleep = Random.State.int rng 64 in
+      let got = Transposition.plan t a b ~depth ~sleep in
+      let want = Reference.Claim_table.plan r a b ~depth ~sleep in
+      if got <> want then
+        Alcotest.failf "seed %d call %d: key (%d, %d) depth %d sleep %d: plans differ" seed
+          i a b depth sleep;
+      match got with
+      | Transposition.Hit -> incr hits
+      | Visit -> incr visits
+      | Partial _ -> incr partials
+    done;
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: keys claimed" seed)
+      (Reference.Claim_table.stats r) (Transposition.stats t);
+    (* the traffic reached every rule and grew the table well past its
+       first few doublings *)
+    List.iter
+      (fun (what, k) ->
+        if k < 1000 then Alcotest.failf "seed %d: only %d %s plans" seed k what)
+      [ ("Hit", !hits); ("Visit", !visits); ("Partial", !partials) ];
+    if Transposition.stats t < 3000 then
+      Alcotest.failf "seed %d: only %d keys claimed" seed (Transposition.stats t)
+  in
+  run ~concurrent:false 1;
+  run ~concurrent:false 2;
+  run ~concurrent:true 3;
+  run ~shards:4 ~concurrent:true 4
+
+(* Claims pack depth and sleep set into one int, so input that does not fit
+   is refused before anything is explored. *)
+let test_claim_range_guard () =
+  let proto = Consensus.Rw_protocol.protocol in
+  let commute = { Explore.commute = true; symmetric = false } in
+  let wide = Array.make (Transposition.max_sleep_pids + 1) 0 in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "run: commute over too many processes" (fun () ->
+      Explore.run ~engine:`Memo ~probe:`Never ~reduce:commute proto ~inputs:wide ~depth:0);
+  refused "decidable_values: commute over too many processes" (fun () ->
+      Explore.decidable_values ~reduce:commute proto ~inputs:wide ~depth:0);
+  refused "deepen: commute over too many processes" (fun () ->
+      Explore.deepen ~reduce:commute proto ~inputs:wide ~max_depth:1);
+  let inputs = [| 0; 1 |] and deep = Transposition.max_depth + 1 in
+  refused "run: depth past the depth field" (fun () ->
+      Explore.run ~engine:`Memo proto ~inputs ~depth:deep);
+  refused "run: negative depth" (fun () -> Explore.run ~engine:`Memo proto ~inputs ~depth:(-1));
+  refused "decidable_values: depth past the depth field" (fun () ->
+      Explore.decidable_values proto ~inputs ~depth:deep);
+  refused "deepen: max_depth past the depth field" (fun () ->
+      Explore.deepen proto ~inputs ~max_depth:deep);
+  (* what fits runs: the widest commute run, and any n without commute *)
+  let fits what v =
+    match v with
+    | Explore.Completed _ -> ()
+    | _ -> Alcotest.failf "%s: did not complete" what
+  in
+  fits "commute at the sleep field's width"
+    (Explore.run ~engine:`Memo ~probe:`Never ~reduce:commute proto
+       ~inputs:(Array.make Transposition.max_sleep_pids 0) ~depth:1);
+  fits "no commute past the sleep field's width"
+    (Explore.run ~engine:`Memo ~probe:`Never proto ~inputs:wide ~depth:1)
+
+(* ------------------------------------------------------------------ *)
+(* The machine's per-process words and memory-derived space accounting,
+   against values recomputed from the recorded trace: seeded random crashy
+   schedules over every registry row (the multiple-assignment buffer rows
+   included) at n = 2 and 3.  At every configuration of a schedule,
+   [locations_used] and [max_location] must match the locations its steps
+   accessed, [steps_of] and [epoch] its steps and crashes per process,
+   [crashable] the processes that stepped since their last crash, and
+   [fingerprint_words] must draw the same partition as
+   [slow_fingerprint]. *)
+let test_lean_step_vs_trace () =
+  let schedule (row : Hierarchy.row) n seed =
+    let (module P : Consensus.Proto.S) = row.protocol in
+    let module M = Model.Machine.Make (P.I) in
+    let rng = Random.State.make [| seed; n; Hashtbl.hash row.id |] in
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    let inputs =
+      Array.init n (fun i -> if row.binary_only then Random.State.int rng 2 else i)
+    in
+    let name = Printf.sprintf "%s n=%d seed %d" row.id n seed in
+    let check cfg =
+      let locs = Hashtbl.create 8 in
+      let steps = Array.make n 0 and epochs = Array.make n 0 and since = Array.make n 0 in
+      List.iter
+        (function
+          | M.Step { pid; accesses } ->
+            List.iter (fun (loc, _, _) -> Hashtbl.replace locs loc ()) accesses;
+            steps.(pid) <- steps.(pid) + 1;
+            since.(pid) <- since.(pid) + 1
+          | M.Crash { pid; _ } ->
+            epochs.(pid) <- epochs.(pid) + 1;
+            since.(pid) <- 0)
+        (M.trace cfg);
+      let locs = Hashtbl.fold (fun l () acc -> l :: acc) locs [] in
+      Alcotest.(check int) (name ^ ": locations_used") (List.length locs) (M.locations_used cfg);
+      Alcotest.(check (option int))
+        (name ^ ": max_location")
+        (List.fold_left (fun m l -> Some (max l (Option.value m ~default:l))) None locs)
+        (M.max_location cfg);
+      for pid = 0 to n - 1 do
+        Alcotest.(check int) (Printf.sprintf "%s: steps_of %d" name pid) steps.(pid)
+          (M.steps_of cfg pid);
+        Alcotest.(check int) (Printf.sprintf "%s: epoch %d" name pid) epochs.(pid)
+          (M.epoch cfg pid)
+      done;
+      Alcotest.(check (list int))
+        (name ^ ": crashable")
+        (List.filter (fun pid -> since.(pid) > 0) (List.init n Fun.id))
+        (M.crashable cfg);
+      (M.fingerprint_words cfg, M.slow_fingerprint cfg)
+    in
+    (* up to 60 events; a crash one time in six, or whenever nothing runs *)
+    let rec go k cfg acc =
+      let running = M.running cfg and crashable = M.crashable cfg in
+      let next =
+        if crashable <> [] && (running = [] || Random.State.int rng 6 = 0) then
+          Some (M.crash_recover cfg (pick crashable))
+        else if running <> [] then Some (M.step cfg (pick running))
+        else None
+      in
+      match next with
+      | Some cfg when k > 0 -> go (k - 1) cfg (check cfg :: acc)
+      | _ -> acc
+    in
+    let root = M.make ~n (fun pid -> P.proc ~n ~pid ~input:inputs.(pid)) in
+    go 60 root [ check root ]
+  in
+  List.iter
+    (fun (row : Hierarchy.row) ->
+      List.iter
+        (fun n ->
+          (* equal trace prefixes give equal configurations, so pairs recur
+             across the schedules *)
+          check_partition
+            (Printf.sprintf "%s n=%d" row.id n)
+            (List.concat_map (schedule row n) [ 1; 2; 3; 4 ]))
+        [ 2; 3 ])
+    (Hierarchy.rows ~recovery:true ())
+
 (* ------------------------------------------------------------------ *)
 (* Sharded symmetry cache under concurrent certification. *)
 
@@ -790,7 +962,12 @@ let () =
             test_transposition_plan_semantics;
           Alcotest.test_case "concurrent visit uniqueness" `Quick
             test_transposition_concurrent_stress;
+          Alcotest.test_case "flat table vs claim lists" `Quick
+            test_transposition_vs_claim_lists;
+          Alcotest.test_case "claim range guard" `Quick test_claim_range_guard;
         ] );
+      ( "machine",
+        [ Alcotest.test_case "lean step vs trace" `Quick test_lean_step_vs_trace ] );
       ( "symmetry-cache",
         [
           Alcotest.test_case "concurrent certification" `Quick
