@@ -11,7 +11,7 @@
      BUF     Section 6 — ⌈n/ℓ⌉ capacity sweep
      MULTI   Section 7 — multiple assignment bounds
      ABL     ablations: racing decision threshold, scan stability
-     CRASH   crash–recovery: crash-point enumeration + crash-free identity
+     CRASH   crash–recovery: crash-point enumeration on the rc- rows
      LINT    static-analysis passes: symmetry certification, registry lint
      TIME    bechamel wall-clock per protocol *)
 
@@ -481,36 +481,59 @@ let randomized () =
       ("buffers-2", Consensus.Buffers_protocol.protocol ~capacity:2);
     ]
 
-(* ---------------------------------------------------------------- MC -- *)
+(* -------------------------------------------------------- task grids -- *)
 
-(* Model-checking engines head-to-head: the naive full-tree walk vs the
-   fingerprint-memoized walk vs the parallel frontier, over depth × n for a
-   few representative protocols.  Memo visits fewer configurations by
-   design, so the honest work-rate comparison is the *effective* rate:
-   naive's configuration count divided by each engine's wall-clock (the
-   speedup column is exactly the elapsed-time ratio).  Results go to
-   BENCH_modelcheck.json as {!Campaign.Record} lists — the same schema the
-   campaign store persists, so bench and campaign outputs share tooling. *)
+(* MC, OBS, RED and CRASH are lists of campaign tasks over registry rows,
+   run by [Campaign.Task.run] itself — no store and no executor, since the
+   bench must re-measure — so each bench row is the record a campaign
+   stores under the same task fingerprint.  Timing ratios are printed, never
+   stored: outside the parallel engine a record's only non-deterministic
+   field is [elapsed], and [perf_gate] compares the rest exactly. *)
 
-let status_of_witness (w : Explore.witness) =
-  Campaign.Record.Violation
-    {
-      kind = w.Explore.kind;
-      message = w.Explore.message;
-      schedule = w.Explore.schedule;
-      probe = w.Explore.probe;
-    }
+let row id =
+  match Hierarchy.find id with
+  | Some r -> r
+  | None -> invalid_arg ("bench: no registry row " ^ id)
 
-let bench_record ?(crashes = 0) ~kind ~row ~proto ~inputs ~params ~n ~depth ~engine
-    ~reduce ~status ~(stats : Explore.stats) ~extra () =
-  Campaign.Record.make
-    ~task:(Campaign.Task.digest proto ~inputs ~params)
-    ~kind ~row
-    ~protocol:(Consensus.Proto.name proto)
-    ~n ~depth ~engine ~reduce ~crashes ~status ~configs:stats.Explore.configs
-    ~probes:stats.Explore.probes ~dedup_hits:stats.Explore.dedup_hits
-    ~sleep_pruned:stats.Explore.sleep_pruned ~truncated:stats.Explore.truncated
-    ~elapsed:stats.Explore.elapsed ~extra ()
+(* Best of at least [reps] runs by [elapsed], repeated until ~100 ms of wall
+   clock has accumulated (capped): the counters are identical across
+   repetitions, only the clock varies, and the minimum is the closest to the
+   engine's true cost.  A run that does not verify is kept as it is. *)
+let best_of ~smoke task =
+  let reps = if smoke then 2 else 3 and max_reps = if smoke then 8 else 64 in
+  let rec go i total (best : Campaign.Record.t) =
+    if (i >= reps && total >= 0.1) || i >= max_reps then best
+    else
+      let r = Campaign.Task.run task in
+      if r.status <> Campaign.Record.Verified then r
+      else go (i + 1) (total +. r.elapsed) (if r.elapsed < best.elapsed then r else best)
+  in
+  let first = Campaign.Task.run task in
+  if first.status <> Campaign.Record.Verified then first else go 1 first.elapsed first
+
+(* The one table printer: each record's coordinates and counters, then the
+   section's printed-only columns [cols], one value each per row. *)
+let print_table cols rows =
+  let columns = List.iter (Printf.printf " %10s") in
+  Printf.printf "%-13s %2s %5s %-10s %-9s %7s %9s %8s %8s %10s" "row" "n" "depth" "engine"
+    "reduce" "crashes" "configs" "dedup" "sleep" "elapsed_s";
+  columns cols;
+  print_endline "  verdict";
+  List.iter
+    (fun ((r : Campaign.Record.t), values) ->
+      Printf.printf "%-13s %2d %5d %-10s %-9s %7d %9d %8d %8d %10.4f" r.row r.n r.depth
+        r.engine r.reduce r.crashes r.configs r.dedup_hits r.sleep_pruned r.elapsed;
+      columns values;
+      Printf.printf "  %s\n" (Campaign.Record.status_name r.status))
+    rows
+
+let records_json rows = Campaign.Json.List (List.map Campaign.Record.to_json rows)
+
+(* Whether replaying witness [w] runs into a violation of the same kind. *)
+let replays proto ~inputs (w : Explore.witness) =
+  match Explore.replay proto ~inputs w with
+  | Ok { Explore.violation = Some (k, _); _ } -> k = w.kind
+  | _ -> false
 
 let write_json file json =
   let oc = open_out file in
@@ -519,176 +542,117 @@ let write_json file json =
   close_out oc;
   Printf.printf "\nwrote %s\n" file
 
-let mc ?(smoke = false) () =
+(* ---------------------------------------------------------------- MC -- *)
+
+(* Model-checking engines head-to-head: the naive full-tree walk vs the
+   fingerprint-memoized walk vs the parallel frontier, over depth × n for
+   four registry rows.  Memo visits fewer configurations by design, so the
+   honest work-rate comparison is the effective rate: naive's configuration
+   count divided by each engine's wall clock (the speedup column is exactly
+   the elapsed-time ratio).  Parallel efficiency divides that speedup by
+   the parallelism the host can grant, min(domains, cores): domains beyond
+   the core count timeshare one core and cannot add speedup, so dividing by
+   the raw domain count would measure the OS scheduler, not the engine.
+   Records go to BENCH_modelcheck.json. *)
+let mc ~smoke () =
   section "MC: model-checking engines — naive vs memoized vs parallel";
-  let protos =
-    [
-      ("rw", Consensus.Rw_protocol.protocol);
-      ("maxreg", Consensus.Maxreg_protocol.protocol);
-      ("swap", Consensus.Swap_protocol.protocol);
-      ("arith-add", Consensus.Arith_protocols.add);
-    ]
-  in
   let sweeps = if smoke then [ (2, 6) ] else [ (2, 10); (3, 8) ] in
-  let engines =
-    [
-      ("naive", `Naive);
-      ("memo", `Memo);
-      ("parallel-2", `Parallel 2);
-      ("parallel-4", `Parallel 4);
-    ]
+  let ids = [ "rw"; "max-register"; "swap"; "add" ] in
+  let tasks =
+    List.concat_map
+      (fun (n, depth) ->
+        List.concat_map
+          (fun id ->
+            List.map
+              (fun engine ->
+                Campaign.Task.check ~engine ~reduce:Explore.no_reduction ~depth (row id) ~n)
+              [ `Naive; `Memo; `Parallel 2; `Parallel 4 ])
+          ids)
+      sweeps
   in
-  (* Timing rows are best-of-[reps]: one core, noisy neighbours — counters
-     are identical across repetitions, only the wall clock varies, and the
-     minimum is the closest to the engine's true cost.  Rows that finish in
-     a couple of milliseconds are repeated until ~100ms of total wall clock
-     has accumulated (capped), otherwise a single scheduling hiccup can
-     swing the row by 25%. *)
-  let reps = if smoke then 2 else 3 in
-  let max_reps = if smoke then 8 else 64 in
-  let min_total = 0.1 in
+  let records = List.map (best_of ~smoke) tasks in
   let cores = Domain.recommended_domain_count () in
-  let records = ref [] in
-  Printf.printf "%-10s %-3s %-5s %-11s %10s %8s %10s %10s %12s %8s  %s\n" "protocol" "n"
-    "depth" "engine" "configs" "dedup" "elapsed_s" "cfg/s" "eff_cfg/s" "speedup"
-    "verdict";
-  List.iter
-    (fun (n, depth) ->
-      List.iter
-        (fun (pname, proto) ->
-          let inputs = Array.init n (fun i -> i) in
-          let naive_elapsed = ref 0.0 and naive_configs = ref 0 in
-          let memo_elapsed = ref 0.0 in
-          List.iter
-            (fun (ename, engine) ->
-              let record ~status ~stats ~extra =
-                records :=
-                  bench_record ~kind:"bench-mc" ~row:pname ~proto ~inputs
-                    ~params:(Printf.sprintf "bench-mc/%s/%d/%d" ename n depth)
-                    ~n ~depth ~engine:ename ~reduce:"none" ~status ~stats ~extra ()
-                  :: !records
-              in
-              let rec measure i total best =
-                match Explore.run ~probe:`Leaves ~engine proto ~inputs ~depth with
-                | Explore.Completed s ->
-                  let total = total +. s.Explore.elapsed in
-                  let best =
-                    match best with
-                    | Some b when b.Explore.elapsed <= s.Explore.elapsed -> b
-                    | _ -> s
-                  in
-                  if (i + 1 >= reps && total >= min_total) || i + 1 >= max_reps
-                  then Explore.Completed best
-                  else measure (i + 1) total (Some best)
-                | other -> other
-              in
-              match measure 0 0.0 None with
-              | Explore.Completed s ->
-                if engine = `Naive then begin
-                  naive_elapsed := s.Explore.elapsed;
-                  naive_configs := s.Explore.configs
-                end;
-                if engine = `Memo then memo_elapsed := s.Explore.elapsed;
-                let elapsed = Float.max s.Explore.elapsed 1e-6 in
-                let rate = float_of_int s.Explore.configs /. elapsed in
-                let eff_rate = float_of_int !naive_configs /. elapsed in
-                let speedup = Float.max !naive_elapsed 1e-6 /. elapsed in
-                Printf.printf
-                  "%-10s %-3d %-5d %-11s %10d %8d %10.4f %10.0f %12.0f %7.1fx  ok\n"
-                  pname n depth ename s.Explore.configs s.Explore.dedup_hits
-                  s.Explore.elapsed rate eff_rate speedup;
-                let extra =
-                  [
-                    ("configs_per_sec", Campaign.Json.Float rate);
-                    ("effective_configs_per_sec", Campaign.Json.Float eff_rate);
-                    ("speedup_vs_naive", Campaign.Json.Float speedup);
-                  ]
-                in
-                let extra =
-                  match engine with
-                  | `Parallel k ->
-                    (* Efficiency normalizes the naive-relative speedup by
-                       the parallelism the host can actually grant: on a
-                       [cores]-core box, domains beyond [cores] timeshare
-                       one core and cannot add speedup, so dividing by the
-                       raw domain count would measure the OS scheduler,
-                       not the engine.  [overhead_vs_memo] keeps the
-                       sequential comparison honest alongside it. *)
-                    extra
-                    @ [
-                        ("domains", Campaign.Json.Int k);
-                        ( "parallel_efficiency",
-                          Campaign.Json.Float
-                            (speedup /. float_of_int (Stdlib.min k cores)) );
-                        ( "overhead_vs_memo",
-                          Campaign.Json.Float
-                            (elapsed /. Float.max !memo_elapsed 1e-6) );
-                      ]
-                  | _ -> extra
-                in
-                record ~status:Campaign.Record.Verified ~stats:s ~extra
-              | Explore.Timed_out t ->
-                Printf.printf "%-10s %-3d %-5d %-11s timed out after %d configurations\n"
-                  pname n depth ename t.Explore.partial.Explore.configs;
-                record ~status:Campaign.Record.Timeout ~stats:t.Explore.partial ~extra:[]
-              | Explore.Falsified f ->
-                Printf.printf "%-10s %-3d %-5d %-11s VIOLATION %s\n" pname n depth ename
-                  (Explore.failure_message f);
-                record ~status:(status_of_witness f.Explore.witness)
-                  ~stats:f.Explore.stats ~extra:[])
-            engines)
-        protos)
-    sweeps;
+  let twin (r : Campaign.Record.t) engine =
+    List.find
+      (fun (t : Campaign.Record.t) ->
+        t.row = r.row && t.n = r.n && t.depth = r.depth && t.engine = engine)
+      records
+  in
+  let secs (r : Campaign.Record.t) = Float.max r.elapsed 1e-6 in
+  print_table
+    [ "cfg/s"; "eff_cfg/s"; "speedup"; "par_eff"; "vs_memo" ]
+    (List.map
+       (fun (r : Campaign.Record.t) ->
+         let naive = twin r "naive" in
+         let speedup = secs naive /. secs r in
+         let parallel =
+           match Campaign.Spec.engine_of_string r.engine with
+           | Ok (`Parallel k) ->
+             [
+               Printf.sprintf "%.2f" (speedup /. float_of_int (min k cores));
+               Printf.sprintf "%.2fx" (secs r /. secs (twin r "memo"));
+             ]
+           | _ -> [ "-"; "-" ]
+         in
+         ( r,
+           [
+             Printf.sprintf "%.0f" (float_of_int r.configs /. secs r);
+             Printf.sprintf "%.0f" (float_of_int naive.configs /. secs r);
+             Printf.sprintf "%.1fx" speedup;
+           ]
+           @ parallel ))
+       records);
+  (* a [Task] has no deepen work: these rows keep their own digest *)
   let budget = if smoke then 0.2 else 1.0 in
-  Printf.printf
-    "\niterative deepening (memo engine, %.1f s budget per protocol, n=2):\n" budget;
-  Printf.printf "%-10s %-13s %-9s %14s %10s\n" "protocol" "depth_reached" "complete"
+  Printf.printf "\niterative deepening (memo engine, %.1f s budget per row, n=2):\n" budget;
+  Printf.printf "%-13s %-13s %-9s %14s %10s\n" "row" "depth_reached" "complete"
     "total_configs" "elapsed_s";
-  let deepen_records = ref [] in
-  List.iter
-    (fun (pname, proto) ->
-      let inputs = [| 0; 1 |] in
-      let record ~status ~depth ~configs ~elapsed ~extra =
-        deepen_records :=
+  let deepen =
+    List.map
+      (fun id ->
+        let proto = (row id).protocol and inputs = [| 0; 1 |] in
+        let record ~status ~depth ~configs ~elapsed ~extra =
           Campaign.Record.make
             ~task:
               (Campaign.Task.digest proto ~inputs
                  ~params:(Printf.sprintf "bench-deepen/%.2f" budget))
-            ~kind:"bench-deepen" ~row:pname
-            ~protocol:(Consensus.Proto.name proto)
-            ~n:2 ~depth ~engine:"memo" ~reduce:"none" ~status ~configs ~elapsed
+            ~kind:"bench-deepen" ~row:id ~protocol:(Consensus.Proto.name proto) ~n:2 ~depth
+            ~engine:"memo" ~reduce:"none" ~status ~configs ~elapsed
             ~extra:(("budget", Campaign.Json.Float budget) :: extra)
             ()
-          :: !deepen_records
-      in
-      match Explore.deepen ~engine:`Memo ~budget proto ~inputs ~max_depth:30 with
-      | Explore.Completed r ->
-        Printf.printf "%-10s %-13d %-9b %14d %10.4f\n" pname r.Explore.depth_reached
-          r.Explore.complete r.Explore.total_configs r.Explore.total_elapsed;
-        record ~status:Campaign.Record.Verified ~depth:r.Explore.depth_reached
-          ~configs:r.Explore.total_configs ~elapsed:r.Explore.total_elapsed
-          ~extra:[ ("complete", Campaign.Json.Bool r.Explore.complete) ]
-      | Explore.Timed_out t ->
-        Printf.printf "%-10s timed out before completing depth 1\n" pname;
-        record ~status:Campaign.Record.Timeout ~depth:1
-          ~configs:t.Explore.partial.Explore.configs
-          ~elapsed:t.Explore.partial.Explore.elapsed ~extra:[]
-      | Explore.Falsified f ->
-        Printf.printf "%-10s VIOLATION %s\n" pname (Explore.failure_message f);
-        record
-          ~status:(status_of_witness f.Explore.witness)
-          ~depth:1 ~configs:f.Explore.stats.Explore.configs
-          ~elapsed:f.Explore.stats.Explore.elapsed ~extra:[])
-    protos;
+        in
+        match Explore.deepen ~engine:`Memo ~budget proto ~inputs ~max_depth:30 with
+        | Explore.Completed r ->
+          Printf.printf "%-13s %-13d %-9b %14d %10.4f\n" id r.depth_reached r.complete
+            r.total_configs r.total_elapsed;
+          record ~status:Campaign.Record.Verified ~depth:r.depth_reached
+            ~configs:r.total_configs ~elapsed:r.total_elapsed
+            ~extra:[ ("complete", Campaign.Json.Bool r.complete) ]
+        | Explore.Timed_out { partial = s; _ } ->
+          Printf.printf "%-13s timed out before completing depth 1\n" id;
+          record ~status:Campaign.Record.Timeout ~depth:1 ~configs:s.configs
+            ~elapsed:s.elapsed ~extra:[]
+        | Explore.Falsified { witness = w; stats = s; _ } ->
+          Printf.printf "%-13s VIOLATION %s\n" id w.message;
+          record
+            ~status:
+              (Campaign.Record.Violation
+                 {
+                   kind = w.kind;
+                   message = w.message;
+                   schedule = w.schedule;
+                   probe = w.probe;
+                 })
+            ~depth:1 ~configs:s.configs ~elapsed:s.elapsed ~extra:[])
+      ids
+  in
   write_json "BENCH_modelcheck.json"
     (Campaign.Json.Obj
        [
-         ("cores", Campaign.Json.Int (Domain.recommended_domain_count ()));
+         ("cores", Campaign.Json.Int cores);
          ("smoke", Campaign.Json.Bool smoke);
-         ( "rows",
-           Campaign.Json.List (List.rev_map Campaign.Record.to_json !records) );
-         ( "deepen",
-           Campaign.Json.List (List.rev_map Campaign.Record.to_json !deepen_records) );
+         ("rows", records_json records);
+         ("deepen", records_json deepen);
        ])
 
 (* --------------------------------------------------------------- OBS -- *)
@@ -702,57 +666,26 @@ let mc ?(smoke = false) () =
    maxreg-monotonic re-applies every access to read its result.  It says
    nothing about the default set's own cost, which has no unmonitored run
    to compare against. *)
-let obs ?(smoke = false) () =
+let obs ~smoke () =
   section "OBS: observer overhead — memo engine, default property vs every observer";
-  let protos =
-    [
-      ("rw", Consensus.Rw_protocol.protocol);
-      ("maxreg", Consensus.Maxreg_protocol.protocol);
-      ("swap", Consensus.Swap_protocol.protocol);
-    ]
-  in
   let sweeps = if smoke then [ (2, 6) ] else [ (2, 10); (3, 8) ] in
-  let all_observers =
-    List.filter_map
-      (fun (name, _doc) ->
-        match Observer.of_name name with Ok o -> Some o | Error _ -> None)
-      Observer.known
-  in
-  let sets = [ ("default", Observer.defaults); ("all", all_observers) ] in
-  Printf.printf "%-10s %-3s %-5s %-9s %10s %10s %10s  %s\n" "protocol" "n" "depth"
-    "observers" "configs" "elapsed_s" "vs_default" "verdict";
-  List.iter
-    (fun (n, depth) ->
-      List.iter
-        (fun (pname, proto) ->
-          let inputs = Array.init n (fun i -> i) in
-          let base_elapsed = ref 0.0 in
-          List.iter
-            (fun (sname, observers) ->
-              let reps = if smoke then 2 else 5 in
-              let best = ref Float.infinity and configs = ref 0 and ok = ref true in
-              for _ = 1 to reps do
-                match
-                  Explore.run ~probe:`Leaves ~engine:`Memo ~observers proto
-                    ~inputs ~depth
-                with
-                | Explore.Completed s ->
-                  best := Float.min !best s.Explore.elapsed;
-                  configs := s.Explore.configs
-                | _ -> ok := false
-              done;
-              if !ok then begin
-                if sname = "default" then base_elapsed := !best;
-                let ratio = !best /. Float.max !base_elapsed 1e-9 in
-                Printf.printf "%-10s %-3d %-5d %-9s %10d %10.4f %9.2fx  ok\n" pname
-                  n depth sname !configs !best ratio
-              end
-              else
-                Printf.printf "%-10s %-3d %-5d %-9s %10s %10s %10s  NOT VERIFIED\n"
-                  pname n depth sname "-" "-" "-")
-            sets)
-        protos)
-    sweeps
+  let every = List.map fst Observer.known in
+  print_table [ "observers"; "vs_default" ]
+    (List.concat_map
+       (fun (n, depth) ->
+         List.concat_map
+           (fun id ->
+             let run observe =
+               best_of ~smoke
+                 (Campaign.Task.check ~observe ~engine:`Memo ~reduce:Explore.no_reduction
+                    ~depth (row id) ~n)
+             in
+             let default = run [] in
+             let all = run every in
+             let ratio = all.elapsed /. Float.max default.elapsed 1e-9 in
+             [ (default, [ "default"; "1.00x" ]); (all, [ "all"; Printf.sprintf "%.2fx" ratio ]) ])
+           [ "rw"; "max-register"; "swap" ])
+       sweeps)
 
 (* --------------------------------------------------------------- RED -- *)
 
@@ -763,19 +696,12 @@ let obs ?(smoke = false) () =
    headline metric is the configuration-count ratio of plain [`Memo] to
    [`Memo]+full reduction; verdicts are cross-checked against [`Naive] on
    every row.  Results also go to BENCH_reduce.json. *)
-let red ?(smoke = false) () =
+let red ~smoke () =
   section "RED: state-space reduction — commutativity sleep sets + process symmetry";
-  (* every protocol here is pid-symmetric: its code never branches on the
+  (* every row here is pid-symmetric: its code never branches on the
      process id except through the input, so `symmetric is sound *)
-  let protos =
-    [
-      ("maxreg", Consensus.Maxreg_protocol.protocol);
-      ("arith-add", Consensus.Arith_protocols.add);
-      ("cas", Consensus.Cas_protocol.protocol);
-      ("tug-of-war", Consensus.Tugofwar_protocol.protocol);
-    ]
-  in
-  let protos = if smoke then [ List.hd protos; List.nth protos 1 ] else protos in
+  let ids = [ "max-register"; "add"; "cas"; "inc-dec" ] in
+  let ids = if smoke then [ "max-register"; "add" ] else ids in
   let n = 3 in
   let depth = if smoke then 6 else 8 in
   (* duplicate inputs are where symmetry bites: with all-distinct inputs no
@@ -784,68 +710,48 @@ let red ?(smoke = false) () =
   let input_sets = [ ("unanimous", Array.make n 1); ("mixed", [| 0; 1; 1 |]) ] in
   let reductions =
     [
-      ("none", Explore.no_reduction);
-      ("commute", { Explore.commute = true; symmetric = false });
-      ("symmetric", { Explore.commute = false; symmetric = true });
-      ("full", Explore.full_reduction);
+      Explore.no_reduction;
+      { Explore.commute = true; symmetric = false };
+      { Explore.commute = false; symmetric = true };
+      Explore.full_reduction;
     ]
   in
-  let verdict_kind = function
-    | Explore.Completed _ -> "ok"
-    | Explore.Timed_out _ -> "timeout"
-    | Explore.Falsified (f : Explore.failure) ->
-      f.Explore.witness.Explore.kind
-  in
-  let stats_of = function
-    | Explore.Completed s -> s
-    | Explore.Timed_out t -> t.Explore.partial
-    | Explore.Falsified f -> f.Explore.stats
-  in
-  let status_of = function
-    | Explore.Completed _ -> Campaign.Record.Verified
-    | Explore.Timed_out _ -> Campaign.Record.Timeout
-    | Explore.Falsified f -> status_of_witness f.Explore.witness
-  in
-  let records = ref [] in
   let target_hits = ref 0 in
-  Printf.printf "%-11s %-9s %-10s %10s %8s %12s %10s %7s  %s\n" "protocol" "inputs"
-    "reduce" "configs" "dedup" "sleep_pruned" "elapsed_s" "ratio" "verdict";
-  List.iter
-    (fun (pname, proto) ->
-      List.iter
-        (fun (iname, inputs) ->
-          let naive_verdict =
-            verdict_kind (Explore.run ~probe:`Leaves ~engine:`Naive proto ~inputs ~depth)
-          in
-          let base_configs = ref 0 in
-          List.iter
-            (fun (rname, reduce) ->
-              let out = Explore.run ~probe:`Leaves ~engine:`Memo ~reduce proto ~inputs ~depth in
-              let v = verdict_kind out in
-              let agree = v = naive_verdict in
-              let s = stats_of out in
-              if rname = "none" then base_configs := s.Explore.configs;
-              let ratio = float_of_int !base_configs /. float_of_int (max 1 s.Explore.configs) in
-              if rname = "full" && iname = "unanimous" && ratio >= 3.0 then incr target_hits;
-              Printf.printf "%-11s %-9s %-10s %10d %8d %12d %10.4f %6.2fx  %s%s\n" pname
-                iname rname s.Explore.configs s.Explore.dedup_hits s.Explore.sleep_pruned
-                s.Explore.elapsed ratio v
-                (if agree then "" else "  [DISAGREES WITH NAIVE: " ^ naive_verdict ^ "]");
-              records :=
-                bench_record ~kind:"bench-reduce" ~row:pname ~proto ~inputs
-                  ~params:(Printf.sprintf "bench-reduce/%s/%s/%d/%d" iname rname n depth)
-                  ~n ~depth ~engine:"memo" ~reduce:rname ~status:(status_of out) ~stats:s
-                  ~extra:
-                    [
-                      ("inputs", Campaign.Json.String iname);
-                      ("ratio_vs_plain_memo", Campaign.Json.Float ratio);
-                      ("agrees_with_naive", Campaign.Json.Bool agree);
-                    ]
-                  ()
-                :: !records)
-            reductions)
-        input_sets)
-    protos;
+  let rows =
+    List.concat_map
+      (fun id ->
+        List.concat_map
+          (fun (label, inputs) ->
+            let run engine reduce =
+              Campaign.Task.run
+                { (Campaign.Task.check ~engine ~reduce ~depth (row id) ~n) with inputs }
+            in
+            let naive =
+              Campaign.Record.status_name (run `Naive Explore.no_reduction).status
+            in
+            let records = List.map (run `Memo) reductions in
+            let plain : Campaign.Record.t = List.hd records in
+            List.map
+              (fun (r : Campaign.Record.t) ->
+                let ratio = float_of_int plain.configs /. float_of_int (max 1 r.configs) in
+                let agrees = Campaign.Record.status_name r.status = naive in
+                if r.reduce = "full" && label = "unanimous" && ratio >= 3.0 then
+                  incr target_hits;
+                ( {
+                    r with
+                    extra =
+                      [
+                        ("inputs", Campaign.Json.String label);
+                        ("ratio_vs_plain_memo", Campaign.Json.Float ratio);
+                        ("agrees_with_naive", Campaign.Json.Bool agrees);
+                      ];
+                  },
+                  [ label; Printf.sprintf "%.2fx" ratio; string_of_bool agrees ] ))
+              records)
+          input_sets)
+      ids
+  in
+  print_table [ "inputs"; "ratio"; "naive_agrees" ] rows;
   Printf.printf
     "\n%d protocol(s) with >= 3x fewer configurations under full reduction (unanimous \
      inputs)\n"
@@ -853,10 +759,11 @@ let red ?(smoke = false) () =
   write_json "BENCH_reduce.json"
     (Campaign.Json.Obj
        [
+         ("cores", Campaign.Json.Int (Domain.recommended_domain_count ()));
          ("n", Campaign.Json.Int n);
          ("depth", Campaign.Json.Int depth);
          ("smoke", Campaign.Json.Bool smoke);
-         ("rows", Campaign.Json.List (List.rev_map Campaign.Record.to_json !records));
+         ("rows", records_json (List.map fst rows));
          ("protocols_with_3x_reduction_unanimous", Campaign.Json.Int !target_hits);
        ])
 
@@ -899,19 +806,12 @@ let witnesses ?(smoke = false) () =
               t.Explore.partial.Explore.configs
           | Explore.Falsified f ->
             let w = f.Explore.witness in
-            let replays =
-              match Explore.replay proto ~inputs:[| 0; 1 |] w with
-              | Ok r ->
-                (match r.Explore.violation with
-                 | Some (k, _) -> k = w.Explore.kind
-                 | None -> false)
-              | Error _ -> false
-            in
             Printf.printf "%-14s %-11s %-20s %8d %8d %9d %8b\n" vname ename
               w.Explore.kind
               (List.length f.Explore.original.Explore.schedule)
               (List.length w.Explore.schedule)
-              f.Explore.shrink_attempts replays;
+              f.Explore.shrink_attempts
+              (replays proto ~inputs:[| 0; 1 |] w);
             Printf.printf "    %s\n"
               (Format.asprintf "%a" Explore.pp_witness w))
         engines)
@@ -923,156 +823,71 @@ let witnesses ?(smoke = false) () =
    rows: exhaustive crash-point enumeration must falsify the
    non-recoverable TAS protocol under any positive budget — with a
    crash-bearing, replayable witness — and certify the CAS protocol on
-   every engine.  Then the crash-free identity check: a [~crashes:0]
-   exploration of the ordinary MC grid must produce statistics
-   bit-identical to a run without the argument, and config counts equal to
-   the committed BENCH_modelcheck.json baselines (asserted by
-   `perf_gate --crash`).  The identity sweep always uses the committed
-   baseline's full (n, depth) grid — memo-only, so it is cheap even under
-   --smoke.  Results go to BENCH_crash.json. *)
+   every engine.  A zero budget is the crash-free check: its task has the
+   crash-free task's fingerprint, so the MC memo rows already hold that
+   lane to the committed counts.  Results go to BENCH_crash.json. *)
 let crash_bench ~smoke () =
-  section "CRASH: crash-recovery — crash-point enumeration + crash-free identity";
-  let rc_rows =
-    List.filter
-      (fun (r : Hierarchy.row) ->
-        String.length r.id >= 3 && String.sub r.id 0 3 = "rc-")
-      (Hierarchy.rows ~recovery:true ())
-  in
-  let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ] in
-  let budgets_of ename = if smoke || ename <> "memo" then [ 0; 1 ] else [ 0; 1; 2 ] in
-  let depth_of id = if id = "rc-cas" then 14 else 10 in
+  section "CRASH: crash-recovery — crash-point enumeration on the rc- rows";
   let n = 2 in
-  let records = ref [] in
-  let unexpected = ref 0 in
-  Printf.printf "%-14s %-11s %-7s %10s %8s %10s %8s  %s\n" "row" "engine" "crashes"
-    "configs" "dedup" "elapsed_s" "replays" "verdict";
-  List.iter
-    (fun (row : Hierarchy.row) ->
-      let proto = row.protocol in
-      let inputs = Array.init n (fun i -> i) in
-      let depth = depth_of row.id in
-      List.iter
-        (fun (ename, engine) ->
-          List.iter
-            (fun crashes ->
-              let expect =
-                (* budget 0 completes everywhere; under crashes only the
-                   recoverable row survives — Golab's TAS/CAS separation *)
-                if crashes = 0 || row.id = "rc-cas" then "ok" else "agreement"
-              in
-              let record ~status ~stats ~extra =
-                records :=
-                  bench_record ~crashes ~kind:"bench-crash" ~row:row.id ~proto ~inputs
-                    ~params:(Printf.sprintf "bench-crash/%s/%d/%d/%d" ename n depth crashes)
-                    ~n ~depth ~engine:ename ~reduce:"none" ~status ~stats ~extra ()
-                  :: !records
-              in
-              let line verdict replays (s : Explore.stats) =
-                if verdict <> expect then incr unexpected;
-                Printf.printf "%-14s %-11s %-7d %10d %8d %10.4f %8s  %s%s\n" row.id
-                  ename crashes s.Explore.configs s.Explore.dedup_hits s.Explore.elapsed
-                  replays verdict
-                  (if verdict = expect then "" else "  [EXPECTED " ^ expect ^ "]")
-              in
-              match Explore.run ~probe:`Leaves ~engine ~crashes proto ~inputs ~depth with
-              | Explore.Completed s ->
-                line "ok" "-" s;
-                record ~status:Campaign.Record.Verified ~stats:s
-                  ~extra:[ ("expected", Campaign.Json.String expect) ]
-              | Explore.Timed_out t ->
-                line "timeout" "-" t.Explore.partial;
-                record ~status:Campaign.Record.Timeout ~stats:t.Explore.partial ~extra:[]
-              | Explore.Falsified f ->
-                let w = f.Explore.witness in
-                let crash_events =
-                  List.length (List.filter Explore.is_crash w.Explore.schedule)
-                in
-                let replays =
-                  match Explore.replay proto ~inputs w with
-                  | Ok r ->
-                    (match r.Explore.violation with
-                     | Some (k, _) -> k = w.Explore.kind
-                     | None -> false)
-                  | Error _ -> false
-                in
-                line w.Explore.kind (string_of_bool replays)
-                  f.Explore.stats;
-                record ~status:(status_of_witness w) ~stats:f.Explore.stats
-                  ~extra:
-                    [
-                      ("expected", Campaign.Json.String expect);
-                      ("crash_events_in_witness", Campaign.Json.Int crash_events);
-                      ( "schedule_found",
-                        Campaign.Json.Int (List.length f.Explore.original.Explore.schedule) );
-                      ( "schedule_shrunk",
-                        Campaign.Json.Int (List.length w.Explore.schedule) );
-                      ("replays", Campaign.Json.Bool replays);
-                    ])
-            (budgets_of ename))
-        engines)
-    rc_rows;
-  (* crash-free identity over the ordinary MC grid: [~crashes:0] must not
-     perturb a single counter — the zero-budget lane is dead code by
-     construction, and this is the observable form of "fingerprints and
-     transposition keys are unchanged" the acceptance bar asks for *)
-  let protos =
-    [
-      ("rw", Consensus.Rw_protocol.protocol);
-      ("maxreg", Consensus.Maxreg_protocol.protocol);
-      ("swap", Consensus.Swap_protocol.protocol);
-      ("arith-add", Consensus.Arith_protocols.add);
-    ]
+  let tasks =
+    List.concat_map
+      (fun (id, depth) ->
+        List.concat_map
+          (fun engine ->
+            List.map
+              (fun crashes ->
+                Campaign.Task.check ~crashes ~engine ~reduce:Explore.no_reduction ~depth
+                  (row id) ~n)
+              (if smoke || engine <> `Memo then [ 0; 1 ] else [ 0; 1; 2 ]))
+          [ `Naive; `Memo; `Parallel 2 ])
+      [ ("rc-tas-naive", 10); ("rc-cas", 14) ]
   in
-  let free_records = ref [] in
-  Printf.printf "\ncrash-free identity (memo, committed baseline grid):\n";
-  Printf.printf "%-10s %-3s %-5s %10s %10s  %s\n" "protocol" "n" "depth" "configs"
-    "baseline" "identical to run without --crashes";
-  List.iter
-    (fun (n, depth) ->
-      List.iter
-        (fun (pname, proto) ->
-          let inputs = Array.init n (fun i -> i) in
-          let stats_of = function
-            | Explore.Completed s -> s
-            | Explore.Timed_out t -> t.Explore.partial
-            | Explore.Falsified (f : Explore.failure) -> f.Explore.stats
-          in
-          let counters (s : Explore.stats) =
-            (s.Explore.configs, s.Explore.probes, s.Explore.dedup_hits,
-             s.Explore.sleep_pruned, s.Explore.truncated)
-          in
-          let plain =
-            stats_of (Explore.run ~probe:`Leaves ~engine:`Memo proto ~inputs ~depth)
-          in
-          let zero =
-            stats_of
-              (Explore.run ~probe:`Leaves ~engine:`Memo ~crashes:0 proto ~inputs ~depth)
-          in
-          let identical = counters plain = counters zero in
-          if not identical then incr unexpected;
-          Printf.printf "%-10s %-3d %-5d %10d %10s  %s\n" pname n depth
-            zero.Explore.configs "(gate)"
-            (if identical then "yes" else "NO — CRASH SUBSYSTEM PERTURBED THE ENGINE");
-          free_records :=
-            bench_record ~kind:"bench-crash-free" ~row:pname ~proto ~inputs
-              ~params:(Printf.sprintf "bench-crash-free/%d/%d" n depth)
-              ~n ~depth ~engine:"memo" ~reduce:"none" ~status:Campaign.Record.Verified
-              ~stats:zero
-              ~extra:[ ("identical_without_crash_arg", Campaign.Json.Bool identical) ]
-              ()
-            :: !free_records)
-        protos)
-    [ (2, 10); (3, 8) ];
+  let unexpected = ref 0 in
+  let rows =
+    List.map
+      (fun (task : Campaign.Task.t) ->
+        let r = Campaign.Task.run task in
+        (* budget 0 completes everywhere; under crashes only the recoverable
+           row survives — Golab's TAS/CAS separation *)
+        let expected =
+          if r.crashes = 0 || r.row = "rc-cas" then "verified" else "violation:agreement"
+        in
+        let as_expected = Campaign.Record.status_name r.status = expected in
+        if not as_expected then incr unexpected;
+        let witness =
+          match r.status with
+          | Campaign.Record.Violation { kind; message; schedule; probe } ->
+            [
+              ( "crash_events_in_witness",
+                Campaign.Json.Int (List.length (List.filter Explore.is_crash schedule)) );
+              ( "replays",
+                Campaign.Json.Bool
+                  (replays task.row.protocol ~inputs:task.inputs
+                     { Explore.kind; message; schedule; probe }) );
+            ]
+          | _ -> []
+        in
+        let column key =
+          Option.fold ~none:"-" ~some:Campaign.Json.to_string (List.assoc_opt key witness)
+        in
+        ( { r with extra = ("expected", Campaign.Json.String expected) :: witness },
+          [
+            (if as_expected then "yes" else "NO");
+            column "replays";
+            column "crash_events_in_witness";
+          ] ))
+      tasks
+  in
+  print_table [ "expected"; "replays"; "crash_evts" ] rows;
   Printf.printf "\n%d unexpected verdict(s)\n" !unexpected;
   write_json "BENCH_crash.json"
     (Campaign.Json.Obj
        [
+         ("cores", Campaign.Json.Int (Domain.recommended_domain_count ()));
          ("smoke", Campaign.Json.Bool smoke);
          ("n", Campaign.Json.Int n);
          ("unexpected", Campaign.Json.Int !unexpected);
-         ("rows", Campaign.Json.List (List.rev_map Campaign.Record.to_json !records));
-         ( "crash_free",
-           Campaign.Json.List (List.rev_map Campaign.Record.to_json !free_records) );
+         ("rows", records_json (List.map fst rows));
        ])
 
 (* -------------------------------------------------------------- CAMP -- *)

@@ -67,10 +67,7 @@ let modelcheck_cmd =
   let run ells id n depth everywhere engine domains trace no_shrink reduce force timeout
       observe crashes =
     with_row ells id (fun row ->
-        let inputs =
-          if row.binary_only then Array.init n (fun i -> i land 1)
-          else Array.init n (fun i -> i mod n)
-        in
+        let inputs = Campaign.Task.inputs_for row ~n in
         let probe = if everywhere then `Everywhere else `Leaves in
         let engine =
           match engine with
@@ -79,14 +76,7 @@ let modelcheck_cmd =
           | "parallel" -> Ok (`Parallel domains)
           | e -> Error (Printf.sprintf "unknown engine %S (naive|memo|parallel)" e)
         in
-        let reduce =
-          match reduce with
-          | "none" -> Ok Explore.no_reduction
-          | "commute" -> Ok { Explore.commute = true; symmetric = false }
-          | "symmetric" -> Ok { Explore.commute = false; symmetric = true }
-          | "full" -> Ok Explore.full_reduction
-          | r -> Error (Printf.sprintf "unknown reduction %S (none|commute|symmetric|full)" r)
-        in
+        let reduce = Campaign.Spec.reduction_of_string reduce in
         let notify_symmetry verdict =
           Format.printf "symmetry certificate: %a%s@." Analysis.Symmetry.pp_verdict
             verdict
@@ -668,9 +658,6 @@ let campaign_cmd =
     in
     match (engines, reduces) with
     | Error e, _ | _, Error e -> Error e
-    | _ when crashes < 0 -> Error "--crashes must be non-negative"
-    | _ when Option.fold ~none:false ~some:(fun f -> f < 1) solo_fuel ->
-      Error "--solo-fuel must be at least 1"
     | Ok engines, Ok reduces ->
       Ok
         {

@@ -2,10 +2,10 @@
 
     One record describes one unit of verification work on one protocol: a
     campaign task, or a bench measurement.  The campaign store persists
-    records content-addressed by [task]; the bench writers
-    ([BENCH_modelcheck.json], [BENCH_reduce.json], [BENCH_campaign.json])
-    emit lists of the same records, so campaign and bench outputs are
-    diffable with the same tooling. *)
+    records content-addressed by [task]; the bench files
+    ([BENCH_modelcheck.json], [BENCH_reduce.json], [BENCH_crash.json],
+    [BENCH_campaign.json]) hold lists of the records {!Task.run} returns,
+    so campaign and bench outputs are diffable with the same tooling. *)
 
 type status =
   | Verified  (** exploration/run completed with no violation *)
@@ -25,7 +25,7 @@ val status_name : status -> string
 
 type t = {
   task : string;      (** content-addressed task fingerprint (16 hex chars) *)
-  kind : string;      (** e.g. ["check"], ["stress"], ["bench-mc"] *)
+  kind : string;      (** ["check"], ["stress"], or ["bench-deepen"] *)
   row : string;       (** registry row id ({!Hierarchy.row.id}) *)
   protocol : string;  (** protocol name *)
   n : int;

@@ -79,10 +79,37 @@ let rotate ~by l =
     let by = ((by mod n) + n) mod n in
     List.init n (fun i -> a.((i + by) mod n))
 
+(* Values no task could run: [Machine.make] refuses n < 1 and [Explore.run]
+   the rest, so a grid holding one would store a Crash record per task
+   instead of failing before anything runs. *)
+let out_of_range spec =
+  let first p l f = Option.map f (List.find_opt p l) in
+  let commute = List.exists (fun (r : Explore.reduction) -> r.commute) spec.reduces in
+  List.find_map Fun.id
+    [
+      first (fun n -> n < 1) spec.ns (Printf.sprintf "n = %d: a task needs at least 1 process");
+      first
+        (fun d -> d < 0 || d > Transposition.max_depth)
+        spec.depths
+        (fun d -> Printf.sprintf "depth %d outside 0..%d" d Transposition.max_depth);
+      (if commute && spec.depths <> [] then
+         first
+           (fun n -> n > Transposition.max_sleep_pids)
+           spec.ns
+           (Printf.sprintf "the commute reduction takes at most %d processes, not %d"
+              Transposition.max_sleep_pids)
+       else None);
+      (if spec.crashes < 0 then
+         Some (Printf.sprintf "crash budget %d is negative" spec.crashes)
+       else None);
+      (if spec.solo_fuel < 1 then Some (Printf.sprintf "solo fuel %d is below 1" spec.solo_fuel)
+       else None);
+    ]
+
 let tasks spec =
-  match Observer.of_names spec.observe with
-  | Error e -> Error e
-  | Ok observer_set ->
+  match (Observer.of_names spec.observe, out_of_range spec) with
+  | Error e, _ | _, Some e -> Error e
+  | Ok observer_set, None ->
   (* canonical observer names ("default" expanded), so two spellings of one
      observer set name the same content-addressed tasks *)
   let observe = List.map (fun ((module O) : Observer.t) -> O.name) observer_set in

@@ -45,6 +45,10 @@ type t = {
   work : work;
 }
 
+val inputs_for : Hierarchy.row -> n:int -> int array
+(** The registry's input convention: [i land 1] for a binary-only row,
+    [i mod n] otherwise. *)
+
 val check :
   ?probe:Explore.probe_policy ->
   ?solo_fuel:int ->
@@ -81,8 +85,9 @@ val digest : Consensus.Proto.t -> inputs:int array -> params:string -> string
 (** The content-addressing primitive: a 16-hex-char digest of the
     protocol's observable behaviour (configuration fingerprints along two
     fixed deterministic schedules from the initial configuration) mixed
-    with [params].  Also used directly by the bench writers, so bench
-    records share the campaign store's key space. *)
+    with [params].  Also used directly by the bench's iterative-deepening
+    rows, which no task describes, so their records share the campaign
+    store's key space. *)
 
 val fingerprint : t -> string
 (** [digest] of the task's protocol, inputs and all work parameters. *)

@@ -394,6 +394,36 @@ let test_crash_tasks () =
   | Ok ts -> Alcotest.failf "expected 1 task, got %d" (List.length ts)
   | Error e -> Alcotest.fail e
 
+let test_spec_refuses_out_of_range () =
+  let spec =
+    {
+      Campaign.Spec.smoke with
+      Campaign.Spec.include_rows = [ "rw" ];
+      ns = [ 2 ];
+      depths = [ 2 ];
+      reduces = [ Explore.no_reduction ];
+      stress_seeds = [];
+    }
+  in
+  let expect what ok spec =
+    match Campaign.Spec.tasks spec with
+    | Ok _ when not ok -> Alcotest.failf "%s: accepted, so every task would crash" what
+    | Error e when ok -> Alcotest.failf "%s: refused (%s)" what e
+    | _ -> ()
+  in
+  expect "n = 0" false { spec with ns = [ 0 ] };
+  expect "depth -1" false { spec with depths = [ -1 ] };
+  expect "depth past the table" false { spec with depths = [ Transposition.max_depth + 1 ] };
+  expect "commute over 40 processes" false { spec with ns = [ 40 ]; reduces = [ commute ] };
+  expect "negative crash budget" false { spec with crashes = -1 };
+  expect "solo fuel 0" false { spec with solo_fuel = 0 };
+  (* the limits themselves, and what they do not apply to, still expand *)
+  expect "commute over 31 processes" true { spec with ns = [ 31 ]; reduces = [ commute ] };
+  expect "40 processes without commute" true { spec with ns = [ 40 ] };
+  expect "stress only: the reductions are unused" true
+    { spec with ns = [ 40 ]; depths = []; reduces = [ commute ]; stress_seeds = [ 1 ] };
+  expect "depth 0" true { spec with depths = [ 0 ] }
+
 (* --- store ------------------------------------------------------------- *)
 
 let test_store_roundtrip_and_reopen () =
@@ -1197,6 +1227,8 @@ let () =
           Alcotest.test_case "observed tasks" `Quick test_observed_tasks;
           Alcotest.test_case "crash budgets in tasks, records and specs" `Quick
             test_crash_tasks;
+          Alcotest.test_case "spec refuses values no task could run" `Quick
+            test_spec_refuses_out_of_range;
         ] );
       ( "store",
         [
