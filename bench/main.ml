@@ -966,12 +966,10 @@ let campaign_bench ~smoke () =
 (* -------------------------------------------------------------- LINT -- *)
 
 (* The static-analysis passes: per-row symmetry certification timing (and the
-   effect of the run cache), certificate warm-up through the campaign store's
-   certs/ side-table (cold compute+persist vs preload from disk), the
-   full-registry lint with its findings summary — the same pass CI runs via
-   `space_hierarchy lint --strict` — and a cold [Absint.analyze] of every row
-   at every n, the CFG work `space_hierarchy analyze` pays.  Results go to
-   BENCH_lint.json. *)
+   effect of the run cache), the full-registry lint with its findings
+   summary — the same pass CI runs via `space_hierarchy lint --strict` — and
+   a cold [Absint.analyze] of every row at every n, the CFG work
+   `space_hierarchy analyze` pays.  Results go to BENCH_lint.json. *)
 let lint_bench ~smoke () =
   section "LINT: protocol & iset linter (certify / contracts / space claims)";
   let ns = if smoke then [ 2 ] else [ 2; 3 ] in
@@ -1006,36 +1004,6 @@ let lint_bench ~smoke () =
           ])
       rows
   in
-  (* Certificate store: cold precertification computes every verdict and
-     persists it under certs/; a second pass with an emptied in-process
-     cache must read every verdict back instead of recomputing — the cost a
-     fleet member pays when another member certified first. *)
-  let store_dir = Filename.temp_file "bench_lint_store" "" in
-  Sys.remove store_dir;
-  let store = Campaign.Store.open_ ~dir:store_dir () in
-  let sym = { Explore.commute = false; symmetric = true } in
-  (* n = 3: binary-only rows then have an equal-input pid pair, so their
-     certification is the real lockstep/CFG work, not the vacuous
-     all-distinct-inputs certificate *)
-  let sym_tasks =
-    List.map
-      (fun row -> Campaign.Task.check ~engine:`Memo ~reduce:sym ~depth:4 row ~n:3)
-      rows
-  in
-  Analysis.Symmetry.reset_run_cache ();
-  let (), store_cold =
-    time (fun () -> Campaign.Executor.precertify ~store sym_tasks)
-  in
-  Analysis.Symmetry.reset_run_cache ();
-  let computed_before = Atomic.get Analysis.Symmetry.computed_count in
-  let (), store_preload =
-    time (fun () -> Campaign.Executor.precertify ~store sym_tasks)
-  in
-  let recomputed = Atomic.get Analysis.Symmetry.computed_count - computed_before in
-  Printf.printf
-    "\ncertificate store (%d rows): cold certify+persist %.2f ms, preload %.2f ms \
-     (%d recomputed)\n"
-    (List.length rows) (store_cold *. 1e3) (store_preload *. 1e3) recomputed;
   let t0 = Unix.gettimeofday () in
   let findings = Analysis.Lint.run ~ns () in
   let lint_dt = Unix.gettimeofday () -. t0 in
@@ -1090,10 +1058,6 @@ let lint_bench ~smoke () =
        [
          ("ns", Campaign.Json.List (List.map (fun n -> Campaign.Json.Int n) ns));
          ("certify", Campaign.Json.List certify_rows);
-         ("store_rows", Campaign.Json.Int (List.length rows));
-         ("store_cold_s", Campaign.Json.Float store_cold);
-         ("store_preload_s", Campaign.Json.Float store_preload);
-         ("store_recomputed", Campaign.Json.Int recomputed);
          ("lint_findings", Campaign.Json.Int (List.length findings));
          ("lint_errors", Campaign.Json.Int (Analysis.Report.errors findings));
          ("lint_warnings", Campaign.Json.Int (Analysis.Report.warnings findings));

@@ -26,7 +26,7 @@
      times the committed one;
    - with --lint: a fresh full BENCH_lint.json disagrees with the committed
      one — every certify verdict, the lint finding, error and warning
-     counts, the selftest counts, [store_recomputed] and every analyze row
+     counts, the selftest counts and every analyze row
      (nodes, edges, work, signature depth, truncation) must be equal, and
      [lint_elapsed_s] and [analyze_elapsed_s] must stay within
      [floor_divisor] times the committed ones.
@@ -214,7 +214,7 @@ let check_lint ~baseline current =
       else Printf.printf "ok   %s = %s\n" key fresh)
     [
       "lint_findings"; "lint_errors"; "lint_warnings"; "selftest_findings";
-      "selftest_escapes"; "store_recomputed";
+      "selftest_escapes";
     ];
   List.iter
     (fun key -> check_ceiling key ~baseline current)

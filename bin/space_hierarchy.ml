@@ -244,15 +244,18 @@ let lint_cmd =
   let run ells ns ids strict json cfg selftest mutants recovery =
     let findings =
       if selftest then Ok (Analysis.Lint.selftest ())
-      else if mutants then
-        Ok
-          (List.concat_map
-             (fun (m : Analysis.Mutants.iset_mutant) -> Analysis.Lint.lint_iset m.iset)
-             Analysis.Mutants.iset_mutants
-          @ List.concat_map
-              (fun (m : Analysis.Mutants.proto_mutant) ->
-                Analysis.Lint.lint_protocol ~cfg ~ns m.proto)
-              Analysis.Mutants.proto_mutants)
+      else if mutants then (
+        match Analysis.Lint.ns_error ns with
+        | Some msg -> Error msg
+        | None ->
+          Ok
+            (List.concat_map
+               (fun (m : Analysis.Mutants.iset_mutant) -> Analysis.Lint.lint_iset m.iset)
+               Analysis.Mutants.iset_mutants
+            @ List.concat_map
+                (fun (m : Analysis.Mutants.proto_mutant) ->
+                  Analysis.Lint.lint_protocol ~cfg ~ns m.proto)
+                Analysis.Mutants.proto_mutants))
       else
         match Analysis.Lint.run ~ells ~recovery ~ns ~cfg ~ids () with
         | fs -> Ok fs
@@ -345,10 +348,12 @@ let analyze_cmd =
         (fun id -> not (List.exists (fun (r : Hierarchy.row) -> r.id = id) rows))
         ids
     in
-    if bad <> [] then
+    match Analysis.Lint.ns_error ns with
+    | Some msg -> `Error (false, msg)
+    | None when bad <> [] ->
       `Error
         (false, Printf.sprintf "unknown row id(s): %s" (String.concat ", " bad))
-    else begin
+    | None -> begin
       let rows =
         if ids = [] then rows
         else List.filter (fun (r : Hierarchy.row) -> List.mem r.id ids) rows

@@ -27,10 +27,10 @@ let symmetry_finding (module P : Consensus.Proto.S) ~n verdict =
 
 let lint_iset = Contracts.lint_iset
 
-let lint_protocol ?depth ?budget ?cfg ?(ns = [ 2; 3 ]) (module P : Consensus.Proto.S) =
+let lint_protocol ?depth ?cfg ?(ns = [ 2; 3 ]) (module P : Consensus.Proto.S) =
   List.concat_map
     (fun n ->
-      let verdict = Symmetry.certify ?depth ?budget (module P : Consensus.Proto.S) ~n in
+      let verdict = Symmetry.certify ?depth (module P : Consensus.Proto.S) ~n in
       symmetry_finding (module P) ~n verdict :: Space.lint ?cfg (module P) ~n)
     ns
 
@@ -59,7 +59,7 @@ let crash_symmetry_finding (row : Hierarchy.row) =
 
 (* Rows sharing an instruction set (the two ∞ rows both use flavours of
    [Bits], say) produce one contract pass per distinct [I.name]. *)
-let lint_rows ?depth ?budget ?cfg ?ns rows =
+let lint_rows ?depth ?cfg ?ns rows =
   let seen_isets = Hashtbl.create 16 in
   List.concat_map
     (fun (row : Hierarchy.row) ->
@@ -73,10 +73,18 @@ let lint_rows ?depth ?budget ?cfg ?ns rows =
       in
       iset_findings
       @ crash_symmetry_finding row
-      @ lint_protocol ?depth ?budget ?cfg ?ns row.protocol)
+      @ lint_protocol ?depth ?cfg ?ns row.protocol)
     rows
 
-let run ?ells ?(recovery = false) ?depth ?budget ?cfg ?ns ?(ids = []) () =
+(* [Machine.make] refuses n < 1, while the analyses would certify and
+   space-check an empty pid set vacuously: [run] and the CLI refuse such an
+   n before analysing anything. *)
+let ns_error ns =
+  List.find_opt (fun n -> n < 1) ns
+  |> Option.map (Printf.sprintf "n = %d: a machine needs at least 1 process")
+
+let run ?ells ?(recovery = false) ?depth ?cfg ?ns ?(ids = []) () =
+  Option.iter invalid_arg (Option.bind ns ns_error);
   let rows = Hierarchy.rows ?ells ~recovery () in
   let rows =
     if ids = [] then rows
@@ -89,7 +97,7 @@ let run ?ells ?(recovery = false) ?depth ?budget ?cfg ?ns ?(ids = []) () =
       List.filter (fun (r : Hierarchy.row) -> List.mem r.id ids) rows
     end
   in
-  lint_rows ?depth ?budget ?cfg ?ns rows
+  lint_rows ?depth ?cfg ?ns rows
 
 (* --- selftest over the mutant corpus ----------------------------------- *)
 

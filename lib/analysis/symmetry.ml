@@ -1,5 +1,6 @@
-(* Pid-symmetry certification: CFG quotients first, lockstep unfolding as
-   the fallback.
+(* Pid-symmetry certification: lockstep unfolding under a small budget
+   first, the CFG quotient when that cannot conclude, lockstep under the
+   full budget last.
 
    [Machine.canonical_fingerprint] (and hence [Explore]'s [symmetric]
    reduction) treats processes with equal inputs as interchangeable.  That is
@@ -7,17 +8,8 @@
    inputs: both processes must issue the same accesses to the same locations
    and decide the same values whenever they have observed the same results.
 
-   The primary certifier is the CFG route ({!Cfg}): both pids'
-   unfoldings are interned into {e one} node table, so the pair is symmetric
-   iff their roots land on the same node — signature equality plus the
-   build's merge-stability verification stand in for an explicit lockstep
-   walk, and retry loops that defeat bounded unfolding (node-budget
-   explosions at depth 10+) are ordinary back-edges there.  Distinct roots
-   mean the unfoldings differ observably within the signature depth, i.e. a
-   genuine asymmetry; a truncated build certifies nothing and falls back.
-
-   The fallback unfolds the {!Model.Proc.t} free monad of
-   [proc ~pid:a ~input] and [proc ~pid:b ~input] in lockstep: at each [Step]
+   Lockstep unfolding walks the {!Model.Proc.t} free monad of
+   [proc ~pid:a ~input] and [proc ~pid:b ~input] together: at each [Step]
    the two access lists must agree location-by-location and op-by-op
    (compared on printed form — ops print injectively in this codebase); then
    every enumerable result vector — results obtained by applying each op to
@@ -33,13 +25,29 @@
    run that gives no process more than [depth] steps never observes
    behaviour beyond the certified prefix — so reaching the depth limit with
    every branch matched is a successful (bounded) certification, not a
-   failure.  The CFG route certifies through any requested depth at once
-   (its claim does not weaken with depth), and is reported at the depth the
-   caller asked for.
+   failure.
 
-   Exhausting a node, width or work budget is different: branches were left
-   {e unexplored} before the depth was covered, so nothing can be claimed
-   and the verdict is [Unknown] — never a certificate. *)
+   The CFG route ({!Cfg}) interns both pids' unfoldings into {e one} node
+   table, so the pair is symmetric iff their roots land on the same node —
+   signature equality plus the build's merge-stability verification stand
+   in for an explicit lockstep walk, and retry loops that defeat bounded
+   unfolding (node-budget explosions at depth 10+) are ordinary back-edges
+   there.  It certifies through any requested depth at once, and is
+   reported at the depth the caller asked for.  Distinct roots mean the
+   unfoldings differ observably within the signature depth, i.e. a genuine
+   asymmetry; a truncated build certifies nothing.
+
+   [certify_staged] holds the one order both entry points use: lockstep
+   under [quick_budget] nodes per pair, which decides every registry row at
+   lint's depth in milliseconds; the CFG route only when that returns
+   [Unknown]; lockstep under the full budget when the CFG is truncated too.
+   A lockstep walk that concludes within a budget concludes identically
+   under any larger one, so the first stage returns what the last would.
+
+   Exhausting a node, width or work budget is different from reaching the
+   depth: branches were left {e unexplored} before the depth was covered,
+   so nothing can be claimed and the verdict is [Unknown] — never a
+   certificate. *)
 
 type witness = { pid_a : int; pid_b : int; input : int; detail : string }
 
@@ -171,6 +179,13 @@ let all_pair_inputs ~n inputs =
         (List.init n (fun a -> List.init (n - a - 1) (fun d -> (a, a + d + 1, input)))))
     inputs
 
+(* The pid pairs one run's inputs make interchangeable: those with equal
+   inputs, in (a, b) order. *)
+let equal_input_pairs inputs =
+  List.filter_map
+    (fun (a, b, _) -> if inputs.(a) = inputs.(b) then Some (a, b, inputs.(a)) else None)
+    (all_pair_inputs ~n:(Array.length inputs) [ 0 ])
+
 (* The CFG route: intern every (pid, input) unfolding into one node table
    ({!Cfg.of_proto} under the sampled alphabet — the same alphabet the
    lockstep certifier feeds) and compare root node ids per pair.  Equal
@@ -178,8 +193,8 @@ let all_pair_inputs ~n inputs =
    equality verified stable by the build.  Distinct roots are a genuine
    divergence within the signature horizon; the lockstep certifier is then
    replayed briefly to phrase the witness (it sees the same alphabet), with
-   a generic witness when it cannot.  A truncated build returns [Unknown]
-   so the caller can fall back to lockstep unfolding. *)
+   a generic witness when it cannot.  A truncated build returns [Unknown],
+   and [certify_staged] falls back to lockstep under the full budget. *)
 let certify_cfg_pairs (module P : Consensus.Proto.S) ~n ~depth pair_inputs =
   let inputs = List.sort_uniq compare (List.map (fun (_, _, i) -> i) pair_inputs) in
   match Cfg.of_proto ~inputs (module P : Consensus.Proto.S) ~n with
@@ -223,33 +238,33 @@ let certify_cfg_pairs (module P : Consensus.Proto.S) ~n ~depth pair_inputs =
          Certified_symmetric { depth; pairs = !pairs }
        with Stop v -> v))
 
-(* Lockstep-only certification, kept as the differential-testing reference
-   (and as the fallback engine). *)
-let certify_lockstep ?(depth = default_depth) ?(budget = default_budget)
-    ?(inputs = [ 0; 1 ]) (module P : Consensus.Proto.S) ~n =
-  certify_pairs (module P) ~n ~depth ~budget (all_pair_inputs ~n inputs)
+(* Lockstep's node budget per pair in the first stage: it decides every
+   registry row at lint's depth, and a retry loop that defeats bounded
+   unfolding exhausts it in milliseconds and hands over to the CFG. *)
+let quick_budget = 20_000
+
+(* The one certifier order (see the header), shared by [certify] and
+   [certify_for_run]. *)
+let certify_staged (module P : Consensus.Proto.S) ~n ~depth pair_inputs =
+  let lockstep budget = certify_pairs (module P) ~n ~depth ~budget pair_inputs in
+  match lockstep quick_budget with
+  | (Certified_symmetric _ | Asymmetric _) as v -> v
+  | Unknown _ -> (
+    match certify_cfg_pairs (module P) ~n ~depth pair_inputs with
+    | (Certified_symmetric _ | Asymmetric _) as v -> v
+    | Unknown _ -> lockstep default_budget)
 
 (* Certify all pid pairs at every sampled input: the unconditional claim the
-   lint report makes about a protocol.  CFG first; bounded lockstep when the
-   CFG is truncated. *)
-let certify ?(depth = default_depth) ?(budget = default_budget) ?(inputs = [ 0; 1 ])
-    (module P : Consensus.Proto.S) ~n =
-  let pair_inputs = all_pair_inputs ~n inputs in
-  match certify_cfg_pairs (module P) ~n ~depth pair_inputs with
-  | (Certified_symmetric _ | Asymmetric _) as v -> v
-  | Unknown _ -> certify_pairs (module P) ~n ~depth ~budget pair_inputs
+   lint report makes about a protocol. *)
+let certify ?(depth = default_depth) ?(inputs = [ 0; 1 ]) (module P : Consensus.Proto.S) ~n =
+  certify_staged (module P) ~n ~depth (all_pair_inputs ~n inputs)
 
-(* Certify exactly what one exploration run relies on: processes are only
-   conflated by [canonical_fingerprint] when their inputs are equal, so only
-   equal-input pid pairs need certificates.  No such pair (all inputs
-   distinct) certifies vacuously.  Memoized: the differential tests certify
-   each (protocol, inputs, depth) once across engines and reductions. *)
-(* The cache is shared across worker domains (the campaign executor certifies
-   from a pool).  It is sharded by key hash: each shard is an independent
-   mutex-protected Hashtbl, so domains certifying different rows never
-   contend on one global lock.  Certification itself runs outside any lock —
-   a lost race recomputes an identical immutable verdict, which is
-   harmless. *)
+(* [certify_for_run]'s memo, shared across worker domains (the campaign
+   executor's pool certifies on first use).  It is sharded by key hash: each
+   shard is an independent mutex-protected Hashtbl, so domains certifying
+   different rows never contend on one global lock.  Certification itself
+   runs outside any lock — a lost race recomputes an identical immutable
+   verdict, which is harmless. *)
 let run_cache_shards = 16
 
 type shard = { mu : Mutex.t; tbl : (string, verdict) Hashtbl.t }
@@ -257,8 +272,6 @@ type shard = { mu : Mutex.t; tbl : (string, verdict) Hashtbl.t }
 let run_cache : shard array =
   Array.init run_cache_shards (fun _ ->
       { mu = Mutex.create (); tbl = Hashtbl.create 8 })
-
-let shard_of key = run_cache.(Hashtbl.hash key land (run_cache_shards - 1))
 
 let with_shard s f =
   Mutex.lock s.mu;
@@ -268,55 +281,23 @@ let with_shard s f =
 let reset_run_cache () =
   Array.iter (fun s -> with_shard s (fun () -> Hashtbl.reset s.tbl)) run_cache
 
-let run_key (module P : Consensus.Proto.S) ~inputs ~depth ~budget =
-  Printf.sprintf "%s|%d|%s|%d|%d" P.name (Array.length inputs)
-    (String.concat "," (List.map string_of_int (Array.to_list inputs)))
-    depth budget
-
-(* Certifications actually computed (cache misses) in this process — lets
-   the campaign tests assert that a store-preloaded fleet recomputes
-   nothing. *)
-let computed_count = Atomic.make 0
-
-(* Read the run cache without computing: the campaign executor consults the
-   store's certificate records on a miss before paying for certification. *)
-let peek_for_run ?(depth = default_depth) ?(budget = default_budget)
-    (module P : Consensus.Proto.S) ~inputs =
-  let key = run_key (module P : Consensus.Proto.S) ~inputs ~depth ~budget in
-  let shard = shard_of key in
-  with_shard shard (fun () -> Hashtbl.find_opt shard.tbl key)
-
-(* Seed the run cache with an externally persisted verdict (a campaign
-   store certificate): subsequent [certify_for_run] calls with the same
-   parameters hit the cache instead of re-certifying. *)
-let preload_for_run ?(depth = default_depth) ?(budget = default_budget)
-    (module P : Consensus.Proto.S) ~inputs verdict =
-  let key = run_key (module P : Consensus.Proto.S) ~inputs ~depth ~budget in
-  let shard = shard_of key in
-  with_shard shard (fun () ->
-      if not (Hashtbl.mem shard.tbl key) then Hashtbl.add shard.tbl key verdict)
-
-let certify_for_run ?(depth = default_depth) ?(budget = default_budget)
-    (module P : Consensus.Proto.S) ~inputs =
-  let n = Array.length inputs in
-  let key = run_key (module P : Consensus.Proto.S) ~inputs ~depth ~budget in
-  let shard = shard_of key in
+(* Certify exactly what one exploration run relies on: processes are only
+   conflated by [canonical_fingerprint] when their inputs are equal, so only
+   equal-input pid pairs need certificates.  No such pair (all inputs
+   distinct) certifies vacuously.  Memoized: the differential tests certify
+   each (protocol, inputs, depth) once across engines and reductions. *)
+let certify_for_run ?(depth = default_depth) (module P : Consensus.Proto.S) ~inputs =
+  let key =
+    Printf.sprintf "%s|%s|%d" P.name
+      (String.concat "," (List.map string_of_int (Array.to_list inputs)))
+      depth
+  in
+  let shard = run_cache.(Hashtbl.hash key land (run_cache_shards - 1)) in
   match with_shard shard (fun () -> Hashtbl.find_opt shard.tbl key) with
   | Some v -> v
   | None ->
-    let pair_inputs = ref [] in
-    for a = 0 to n - 1 do
-      for b = a + 1 to n - 1 do
-        if inputs.(a) = inputs.(b) then
-          pair_inputs := (a, b, inputs.(a)) :: !pair_inputs
-      done
-    done;
-    let pair_inputs = List.rev !pair_inputs in
-    Atomic.incr computed_count;
     let v =
-      match certify_cfg_pairs (module P) ~n ~depth pair_inputs with
-      | (Certified_symmetric _ | Asymmetric _) as v -> v
-      | Unknown _ -> certify_pairs (module P) ~n ~depth ~budget pair_inputs
+      certify_staged (module P) ~n:(Array.length inputs) ~depth (equal_input_pairs inputs)
     in
     with_shard shard (fun () ->
         match Hashtbl.find_opt shard.tbl key with

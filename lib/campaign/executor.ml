@@ -64,63 +64,6 @@ let json_of_event = function
         ("elapsed", Json.Float o.elapsed);
       ]
 
-(* Warm the symmetry-certification cache before the pool starts, so worker
-   domains hit it instead of each redoing the certification.  The key must
-   match the one [Explore.certify_gate] computes for the task: same inputs,
-   and the gate's effective depth — it clamps the exploration depth up to
-   [Analysis.Symmetry.default_depth].  The cache itself is sharded by key
-   hash with a mutex per shard, so a mismatch here costs duplicated work,
-   not a race.
-
-   With [store], certificates also go through the directory's [certs/]
-   side-table ({!Cert}): a verdict another fleet member (or an earlier
-   campaign over the same directory) already persisted is preloaded into the
-   in-process cache instead of recomputed, and freshly computed verdicts are
-   persisted for the rest of the fleet.  Tasks sharing a certification key
-   are deduplicated first, so each key is certified (or read) once per
-   invocation. *)
-let precertify ?store tasks =
-  let budget = Analysis.Symmetry.default_budget in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (t : Task.t) ->
-      match t.work with
-      | Task.Check { reduce; depth; _ } when reduce.Explore.symmetric ->
-        let depth = Stdlib.max depth Analysis.Symmetry.default_depth in
-        let key =
-          Analysis.Symmetry.run_key t.row.protocol ~inputs:t.inputs ~depth ~budget
-        in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          match store with
-          | None ->
-            ignore
-              (Analysis.Symmetry.certify_for_run t.row.protocol ~inputs:t.inputs
-                 ~depth)
-          | Some store ->
-            (match
-               Analysis.Symmetry.peek_for_run t.row.protocol ~inputs:t.inputs ~depth
-             with
-             | Some _ -> () (* already warm in this process *)
-             | None ->
-               let fp = Cert.fingerprint t ~depth ~budget in
-               (match
-                  Option.bind (Store.find_cert store fp) (fun s ->
-                      Result.to_option (Cert.of_string s))
-                with
-                | Some verdict ->
-                  Analysis.Symmetry.preload_for_run t.row.protocol ~inputs:t.inputs
-                    ~depth verdict
-                | None ->
-                  let verdict =
-                    Analysis.Symmetry.certify_for_run t.row.protocol ~inputs:t.inputs
-                      ~depth
-                  in
-                  Store.put_cert store fp (Cert.to_string verdict)))
-        end
-      | _ -> ())
-    tasks
-
 let run ?(domains = 1) ?(use_cache = true) ?(stop = fun () -> false)
     ?(on_event = fun _ -> ()) ~store tasks =
   let t0 = Unix.gettimeofday () in
@@ -150,7 +93,6 @@ let run ?(domains = 1) ?(use_cache = true) ?(stop = fun () -> false)
       results.(index) <- Some record;
       emit (Task_finished { index; task; record; cached = true }))
     cached;
-  precertify ~store (List.map snd pending);
   let queue = Array.of_list pending in
   let next = Atomic.make 0 in
   let executed = Atomic.make 0 in
@@ -237,7 +179,6 @@ let run_shared ?(domains = 1) ?(stop = fun () -> false) ?(on_event = fun _ -> ()
       results.(index) <- Some record;
       emit (Task_finished { index; task; record; cached = true }))
     cached;
-  precertify ~store (List.map (fun (_, task, _) -> task) pending);
   (* start each worker process at a pid-dependent offset so a fleet
      launched simultaneously contends on different tasks, not the head *)
   let queue = Array.of_list (Spec.rotate ~by:(Unix.getpid ()) pending) in

@@ -46,15 +46,6 @@ val json_of_event : event -> Json.t
     [events.jsonl] for every event (the store stamps each line with the
     writer's [pid] and a [ts] timestamp). *)
 
-val precertify : ?store:Store.t -> Task.t list -> unit
-(** Warm the pid-symmetry certification cache for every symmetric-reduction
-    task in the list, deduplicated by certification key.  With [store], each
-    verdict is first looked up in the store's [certs/] side-table ({!Cert})
-    and preloaded on a hit; misses are computed and persisted for the rest
-    of the fleet.  Both {!run} and {!run_shared} call this on their pending
-    tasks before starting workers; it is exposed so benchmarks and external
-    drivers can measure or stage the warm-up separately. *)
-
 val run :
   ?domains:int ->
   ?use_cache:bool ->
@@ -76,12 +67,11 @@ val run :
     never serializes the worker domains — with [domains > 1] it may be
     invoked from several domains concurrently.
 
-    Symmetric-reduction tasks are pre-certified sequentially before the
-    pool starts, deduplicated by certification key, so worker domains hit a
-    warm cache instead of each redoing the unfolding.  Each verdict is also
-    read from / persisted to the store's [certs/] side-table ({!Cert}), so a
-    fleet sharing the directory — or a later campaign over it — certifies
-    each (protocol, inputs, budgets) triple once fleet-wide. *)
+    A symmetric-reduction task certifies its protocol when a worker first
+    runs it, through {!Analysis.Symmetry.certify_for_run}'s sharded
+    in-process cache, so tasks sharing (protocol, inputs, depth) certify
+    once per process.  Certification costs milliseconds, so nothing about
+    it is persisted in the store. *)
 
 val run_shared :
   ?domains:int ->

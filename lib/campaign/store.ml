@@ -1,7 +1,6 @@
 type t = {
   dir : string;
   results_dir : string;
-  certs_dir : string;
   claims_dir : string;
   events_file : string;
   mutable events_fd : Unix.file_descr option;
@@ -63,14 +62,10 @@ let sweep_stale ~ttl dirpath keep =
 
 let open_ ?(lease_ttl = 120.0) ~dir () =
   let results_dir = Filename.concat dir "results" in
-  let certs_dir = Filename.concat dir "certs" in
   let claims_dir = Filename.concat dir "claims" in
   mkdirs results_dir;
-  mkdirs certs_dir;
   mkdirs claims_dir;
   sweep_stale ~ttl:lease_ttl results_dir (fun f ->
-      not (contains_substring f ".json.tmp"));
-  sweep_stale ~ttl:lease_ttl certs_dir (fun f ->
       not (contains_substring f ".json.tmp"));
   sweep_stale ~ttl:lease_ttl claims_dir (fun _ -> false);
   let index = Hashtbl.create 64 in
@@ -89,7 +84,6 @@ let open_ ?(lease_ttl = 120.0) ~dir () =
   {
     dir;
     results_dir;
-    certs_dir;
     claims_dir;
     events_file = Filename.concat dir "events.jsonl";
     events_fd = None;
@@ -217,30 +211,6 @@ let put t (r : Record.t) =
       Sys.rename tmp final;
       Hashtbl.replace t.index r.task r;
       release_unlocked t r.task)
-
-(* ------------------------------------------------------ certificates -- *)
-
-(* A side-table of analysis certificates (pid-symmetry verdicts, see
-   {!Cert}), content-addressed like results but with no claim protocol:
-   certification is cheap enough that two writers racing each just write
-   identical records, and the atomic rename keeps whichever lands last. *)
-
-let cert_path t fp = Filename.concat t.certs_dir (fp ^ ".json")
-
-let find_cert t fp =
-  match read_file (cert_path t fp) with
-  | contents -> Some contents
-  | exception Sys_error _ -> None
-
-let put_cert t fp contents =
-  locked t (fun () ->
-      let final = cert_path t fp in
-      let tmp =
-        Printf.sprintf "%s.tmp.%d.%d" final t.pid
-          (Atomic.fetch_and_add tmp_counter 1)
-      in
-      write_file tmp contents;
-      Sys.rename tmp final)
 
 let records t =
   locked t (fun () ->

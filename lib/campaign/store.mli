@@ -4,7 +4,6 @@
     On-disk layout under the store directory:
     {v
       results/<task-fingerprint>.json    one Record.t per completed task
-      certs/<cert-fingerprint>.json      one analysis certificate (see Cert)
       claims/<task>.<pid>                a writer's lease file (see claim)
       claims/<task>.lease                hard link to the winning lease
       events.jsonl                       append-only telemetry log
@@ -17,7 +16,8 @@
     Stale [*.json.tmp*] files and expired claim leases left by crashed runs
     are swept when the store is opened.  Corrupt or foreign files under
     [results/] are ignored with a warning rather than poisoning the sweep.
-    All operations are safe to call from multiple domains of one process
+    Symmetry certificates are not stored: a [certs/] directory that older
+    versions wrote is neither read nor swept.  All operations are safe to call from multiple domains of one process
     {e and} from multiple processes sharing the directory (one host; the
     claim protocol relies on POSIX [link(2)] atomicity and live pids). *)
 
@@ -74,17 +74,6 @@ val put : t -> Record.t -> unit
 (** Persist atomically under [results/<r.task>.json] (unique temp name +
     rename), index in memory, and release any claim this writer holds on
     the task; overwrites any previous record for the same task. *)
-
-val find_cert : t -> string -> string option
-(** Raw contents of [certs/<fingerprint>.json], probed on disk every call —
-    certificates written by other fleet members are visible without
-    reopening.  Parsing belongs to {!Cert}. *)
-
-val put_cert : t -> string -> string -> unit
-(** Persist a certificate atomically under [certs/<fingerprint>.json]
-    (unique temp name + rename; stale temp debris is swept at open).  No
-    claim protocol: racing writers produce identical certificates for the
-    same fingerprint, and the last rename wins harmlessly. *)
 
 val records : t -> Record.t list
 (** Every indexed record, sorted by (row, n, kind, task) for stable

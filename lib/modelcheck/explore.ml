@@ -65,8 +65,9 @@
      exploration (states conflated that the protocol distinguishes), the
      reduction is gated on [Analysis.Symmetry.certify_for_run]: every
      equal-input pid pair is certified pid-oblivious through the requested
-     depth, on the protocol's CFG first and, when that cannot conclude, by
-     lockstep symbolic unfolding.  An uncertified protocol raises
+     depth — by lockstep symbolic unfolding under a small budget, on the
+     protocol's CFG when that cannot conclude, and by lockstep under the
+     full budget when the CFG cannot either.  An uncertified protocol raises
      [Uncertified_symmetry] instead of exploring unsoundly; [~force:true]
      overrides the gate (for experiments — e.g. measuring what the unsound
      reduction would prune), and [~notify_symmetry] surfaces the verdict to

@@ -66,10 +66,11 @@ type reduction = {
 
           Soundness is {e enforced}: every [symmetric = true] entry point
           first certifies the protocol pid-oblivious for this run's
-          equal-input pid pairs, to the exploration depth, on the
-          protocol's CFG first and, when that cannot conclude, by lockstep
-          symbolic unfolding ({!Analysis.Symmetry.certify_for_run}).  An
-          uncertified protocol raises {!Uncertified_symmetry}; pass
+          equal-input pid pairs, to the exploration depth: by lockstep
+          symbolic unfolding under a small budget, on the protocol's CFG
+          when that cannot conclude, and by lockstep under the full budget
+          when the CFG cannot either ({!Analysis.Symmetry.certify_for_run}).
+          An uncertified protocol raises {!Uncertified_symmetry}; pass
           [~force:true] to run the reduction anyway (unsound — for
           experiments only). *)
 }

@@ -1,7 +1,8 @@
 (* Reference implementations the tests compare the model checker against:
    a hard-coded consensus checker (agreement and validity over the
    decisions each configuration holds, plus solo probes), the unmemoized
-   bivalence walk, and the claim-list transposition table.  The two walks
+   bivalence walk, the claim-list transposition table, and the symmetry
+   certifier orders [Analysis.Symmetry] no longer runs.  The two walks
    are plain naive walks of every schedule on the persistent machine, kept
    deliberately simple and independent of [Observer], [Transposition] and
    [Machine.Scratch]. *)
@@ -170,3 +171,19 @@ let decidable_values_naive ?(solo_fuel = 100_000) (module P : Consensus.Proto.S)
   match go cfg depth with
   | () -> Ok (List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) seen []))
   | exception Stuck msg -> Error msg
+
+(* Lockstep unfolding alone, over every pid pair at every sampled input: the
+   reference the CFG route is checked against. *)
+let certify_lockstep ?(depth = Analysis.Symmetry.default_depth)
+    ?(budget = Analysis.Symmetry.default_budget) ?(inputs = [ 0; 1 ])
+    (module P : Consensus.Proto.S) ~n =
+  Analysis.Symmetry.(certify_pairs (module P) ~n ~depth ~budget (all_pair_inputs ~n inputs))
+
+(* The certifier order [Symmetry] ran before it tried lockstep first: the
+   CFG route, then lockstep under the full budget when the CFG cannot
+   conclude.  The differential reference for [Symmetry.certify_staged]. *)
+let certify_cfg_first ~depth (module P : Consensus.Proto.S) ~n pair_inputs =
+  let open Analysis.Symmetry in
+  match certify_cfg_pairs (module P) ~n ~depth pair_inputs with
+  | (Certified_symmetric _ | Asymmetric _) as v -> v
+  | Unknown _ -> certify_pairs (module P) ~n ~depth ~budget:default_budget pair_inputs

@@ -321,7 +321,7 @@ let test_cfg_lockstep_agreement () =
   List.iter
     (fun (row : Hierarchy.row) ->
       let (module P : Consensus.Proto.S) = row.protocol in
-      match Symmetry.certify_lockstep (module P) ~n:2 with
+      match Reference.certify_lockstep (module P) ~n:2 with
       | Symmetry.Unknown _ -> ()
       | lock -> (
         let pair_inputs = Symmetry.all_pair_inputs ~n:2 [ 0; 1 ] in
@@ -361,6 +361,57 @@ let test_deep_certification () =
         | Symmetry.Certified_symmetric _ -> ()
         | v -> Alcotest.failf "%s at depth 12: %a" id Symmetry.pp_verdict v))
     [ "increment"; "fetch-incr"; "max-register"; "fetch-add"; "fetch-multiply" ]
+
+(* 12b. The certifier order, differentially: [Symmetry.certify_staged]
+   (lockstep under a small budget, then the CFG, then lockstep under the
+   full budget) prints the verdict the CFG-first order printed.  Through
+   [certify], lint's entry point, on every registry row (the rc- rows
+   included) at lint's depth and inputs; through [certify_for_run], the
+   exploration gate, on the retry-loop rows at depth 12 with equal inputs,
+   where the CFG stage certifies at n = 2 and increment and fetch-incr fail
+   every stage at n = 3. *)
+let test_certifier_order () =
+  let show = Format.asprintf "%a" Symmetry.pp_verdict in
+  let agree entry ~depth (row : Hierarchy.row) ~n pairs got =
+    let (module P : Consensus.Proto.S) = row.protocol in
+    Alcotest.(check string)
+      (Printf.sprintf "%s n=%d depth %d: %s" row.id n depth entry)
+      (show (Reference.certify_cfg_first ~depth (module P) ~n pairs))
+      (show got)
+  in
+  List.iter
+    (fun (row : Hierarchy.row) ->
+      List.iter
+        (fun n ->
+          agree "certify" ~depth:Symmetry.default_depth row ~n
+            (Symmetry.all_pair_inputs ~n [ 0; 1 ])
+            (Symmetry.certify row.protocol ~n))
+        [ 2; 3 ])
+    (Hierarchy.rows ~recovery:true ());
+  List.iter
+    (fun id ->
+      match Hierarchy.find id with
+      | None -> Alcotest.failf "registry row %s missing" id
+      | Some row ->
+        List.iter
+          (fun n ->
+            let inputs = Array.make n 0 in
+            agree "certify_for_run" ~depth:12 row ~n (Symmetry.equal_input_pairs inputs)
+              (Symmetry.certify_for_run ~depth:12 row.protocol ~inputs))
+          [ 2; 3 ])
+    [ "increment"; "fetch-incr"; "max-register"; "fetch-add"; "fetch-multiply"; "inc-dec" ]
+
+(* 12c. No machine has fewer than one process: lint refuses such an n
+   before analysing anything, with the message the CLI prints. *)
+let test_lint_refuses_empty_machine () =
+  List.iter
+    (fun ns ->
+      match Lint.run ~ns () with
+      | exception Invalid_argument msg ->
+        Alcotest.(check (option string)) "the CLI's message" (Lint.ns_error ns) (Some msg)
+      | fs -> Alcotest.failf "lint accepted ns with n < 1 (%d findings)" (List.length fs))
+    [ [ 0 ]; [ 2; -1 ] ];
+  Alcotest.(check (option string)) "n >= 1 passes" None (Lint.ns_error [ 1; 2; 3 ])
 
 (* 13. The analysis output, pinned: the exact [Absint] summary on rows that
    cover every outcome of [Cfg.Make.build] — complete, complete with a dead
@@ -467,6 +518,7 @@ let () =
         [
           Alcotest.test_case "mutant corpus selftest" `Quick test_selftest;
           Alcotest.test_case "registry lints clean" `Slow test_registry_lints_clean;
+          Alcotest.test_case "refuses n below 1" `Quick test_lint_refuses_empty_machine;
         ] );
       ( "symmetry",
         [
@@ -497,6 +549,8 @@ let () =
             test_cfg_lockstep_agreement;
           Alcotest.test_case "deep-depth certification" `Quick
             test_deep_certification;
+          Alcotest.test_case "certifier order matches CFG-first" `Quick
+            test_certifier_order;
           Alcotest.test_case "analysis summaries pinned" `Quick test_absint_pinned;
           Alcotest.test_case "memoized printer agrees with Format" `Quick
             test_print_agrees;

@@ -834,6 +834,90 @@ let test_run_shared_drain_bounded_by_timeout () =
     true (elapsed < 30.0);
   Alcotest.(check (list string)) "claims dir clean afterwards" [] (list_claims dir)
 
+(* A directory written before symmetry certificates left the store: its
+   results/ and events.jsonl come from a real run, and certs/ holds a
+   certificate plus a temp file of the age the store used to sweep.  The
+   store opens it, indexes every record, reruns nothing, reports the same,
+   and leaves certs/ as it was. *)
+let test_store_opens_older_layout () =
+  let dir = temp_dir () in
+  let symmetric = { Explore.commute = false; symmetric = true } in
+  let tasks =
+    [
+      Campaign.Task.check ~engine:`Memo ~reduce:symmetric ~depth:4
+        (row "intro-faa2-tas") ~n:3;
+      Campaign.Task.check ~engine:`Memo ~reduce:commute ~depth:4 (row "cas") ~n:2;
+    ]
+  in
+  let first = Campaign.Executor.run ~store:(Campaign.Store.open_ ~dir ()) tasks in
+  let certs = Filename.concat dir "certs" in
+  Unix.mkdir certs 0o755;
+  write_raw
+    (Filename.concat certs "0123456789abcdef.json")
+    "{\n  \"kind\": \"certified\",\n  \"depth\": 5,\n  \"pairs\": 1\n}\n";
+  let leftover = Filename.concat certs "fedcba9876543210.json.tmp.424242.3" in
+  write_raw leftover "{ \"kind\": \"certi";
+  age_file leftover 7200.0;
+  let snapshot () =
+    Sys.readdir certs |> Array.to_list |> List.sort compare
+    |> List.map (fun f ->
+           let ic = open_in_bin (Filename.concat certs f) in
+           let contents = really_input_string ic (in_channel_length ic) in
+           close_in ic;
+           (f, contents))
+  in
+  let before = snapshot () in
+  Alcotest.(check bool) "events.jsonl written" true
+    (Sys.file_exists (Filename.concat dir "events.jsonl"));
+  let store = Campaign.Store.open_ ~dir () in
+  Alcotest.(check int) "every record indexed" (List.length tasks)
+    (Campaign.Store.count store);
+  let rerun = Campaign.Executor.run ~store tasks in
+  Alcotest.(check int) "rerun executes nothing" 0 rerun.Campaign.Executor.executed;
+  let csv (o : Campaign.Executor.outcome) =
+    Campaign.Report.to_csv (Campaign.Report.make o.records)
+  in
+  Alcotest.(check string) "same report" (csv first) (csv rerun);
+  Alcotest.(check (list (pair string string))) "certs/ left as it was" before
+    (snapshot ())
+
+(* Worker domains certify symmetric tasks on first use, through the
+   sharded in-process cache: two domains store what one does.  The binary
+   rows at n = 3 hold an equal-input pair, so their certificates are real
+   work; rw with two equal inputs is pid-dependent and must be refused. *)
+let test_executor_domains_certify_alike () =
+  let symmetric = { Explore.commute = false; symmetric = true } in
+  let reduces = [ symmetric; Explore.full_reduction ] in
+  let check reduce id = Campaign.Task.check ~engine:`Memo ~reduce ~depth:4 (row id) ~n:3 in
+  let tasks =
+    List.concat_map
+      (fun id -> List.map (fun reduce -> check reduce id) reduces)
+      [ "tas"; "write1"; "write01"; "tas-reset"; "intro-faa2-tas"; "intro-dec-mul" ]
+    @ List.map
+        (fun reduce -> { (check reduce "rw") with Campaign.Task.inputs = [| 0; 0; 1 |] })
+        reduces
+  in
+  let run domains =
+    Analysis.Symmetry.reset_run_cache ();
+    let store = Campaign.Store.open_ ~dir:(temp_dir ()) () in
+    let o = Campaign.Executor.run ~domains ~store tasks in
+    Alcotest.(check int) "all executed" (List.length tasks) o.Campaign.Executor.executed;
+    o.Campaign.Executor.records
+  in
+  let show (r : Campaign.Record.t) =
+    Campaign.Json.to_string (Campaign.Record.to_json { r with elapsed = 0.0 })
+  in
+  let two = run 2 in
+  Alcotest.(check (list string)) "two domains store what one does"
+    (List.map show (run 1)) (List.map show two);
+  List.iter
+    (fun (r : Campaign.Record.t) ->
+      if r.row = "rw" then
+        match r.status with
+        | Campaign.Record.Crash msg when contains msg "symmetric reduction refused" -> ()
+        | _ -> Alcotest.failf "rw with equal inputs: %s" (show r))
+    two
+
 (* --- status ------------------------------------------------------------ *)
 
 let test_status_folds_multiwriter_log () =
@@ -924,83 +1008,13 @@ let test_report_worst_status_wins () =
   Alcotest.(check int) "csv lines" 4
     (List.length (String.split_on_char '\n' (String.trim csv)))
 
-(* --- certificates ------------------------------------------------------ *)
-
-(* Every verdict kind survives the certs/ file format, and the fingerprint
-   is a pure function of (protocol behaviour, inputs, budgets). *)
-let test_cert_roundtrip () =
-  let verdicts =
-    [
-      Analysis.Symmetry.Certified_symmetric { depth = 7; pairs = 4 };
-      Analysis.Symmetry.Asymmetric
-        { pid_a = 0; pid_b = 1; input = 1; detail = "accesses \"quoted\" loc" };
-      Analysis.Symmetry.Unknown "budget exhausted";
-    ]
-  in
-  List.iter
-    (fun v ->
-      match Campaign.Cert.of_string (Campaign.Cert.to_string v) with
-      | Ok v' -> Alcotest.(check bool) "verdict round-trips" true (v = v')
-      | Error e -> Alcotest.fail e)
-    verdicts;
-  List.iter
-    (fun garbage ->
-      match Campaign.Cert.of_string garbage with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted garbage certificate %S" garbage)
-    [ "nonsense"; "{}"; "{\"kind\": \"certified\"}"; "{\"kind\": \"sideways\"}" ];
-  let task = Campaign.Task.check ~engine:`Memo ~reduce:commute ~depth:4 (row "cas") ~n:2 in
-  let fp = Campaign.Cert.fingerprint task ~depth:5 ~budget:1000 in
-  Alcotest.(check string) "fingerprint deterministic" fp
-    (Campaign.Cert.fingerprint task ~depth:5 ~budget:1000);
-  Alcotest.(check bool) "budgets are part of the address" true
-    (fp <> Campaign.Cert.fingerprint task ~depth:6 ~budget:1000
-     && fp <> Campaign.Cert.fingerprint task ~depth:5 ~budget:2000)
-
-(* Precertification writes its verdicts to the store's certs/ side-table,
-   and a cold process (empty in-process cache) over the same directory
-   preloads them instead of recomputing — the fleet certifies once. *)
-let test_precertify_uses_store () =
-  let dir = temp_dir () in
-  let symmetric = { Explore.commute = false; symmetric = true } in
-  (* a binary-only row at n = 3 has an equal-input pid pair, so the
-     certification is non-vacuous; the two depths clamp to the same
-     certification key, which also exercises the dedup *)
-  let tasks =
-    [
-      Campaign.Task.check ~engine:`Memo ~reduce:symmetric ~depth:3
-        (row "intro-faa2-tas") ~n:3;
-      Campaign.Task.check ~engine:`Memo ~reduce:symmetric ~depth:4
-        (row "intro-faa2-tas") ~n:3;
-    ]
-  in
-  Analysis.Symmetry.reset_run_cache ();
-  let store = Campaign.Store.open_ ~dir () in
-  let o = Campaign.Executor.run ~store tasks in
-  Alcotest.(check int) "first run executes" 2 o.Campaign.Executor.executed;
-  let certs =
-    Sys.readdir (Filename.concat dir "certs")
-    |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".json")
-  in
-  Alcotest.(check bool) "certificates persisted" true (certs <> []);
-  (* simulate another fleet member: empty in-process cache, fresh handle *)
-  Analysis.Symmetry.reset_run_cache ();
-  let computed_before = Atomic.get Analysis.Symmetry.computed_count in
-  let store2 = Campaign.Store.open_ ~dir () in
-  let o2 = Campaign.Executor.run ~use_cache:false ~store:store2 tasks in
-  Alcotest.(check int) "second run re-executes" 2 o2.Campaign.Executor.executed;
-  Alcotest.(check int) "certification read from the store, not recomputed"
-    computed_before
-    (Atomic.get Analysis.Symmetry.computed_count)
-
 (* --- parser fuzzing ------------------------------------------------------ *)
 
-(* The store reads result and certificate files that a killed worker may
-   have truncated and a bad disk may have flipped bytes in, so the decoders
-   must answer [Error], never raise, on any input.  Inputs: arbitrary bytes,
-   strings over JSON's own alphabet, and truncated or byte-flipped
-   encodings of real records and certificates. *)
+(* The store reads result files that a killed worker may have truncated
+   and a bad disk may have flipped bytes in, so the decoders must answer
+   [Error], never raise, on any input.  Inputs: arbitrary bytes, strings
+   over JSON's own alphabet, and truncated or byte-flipped encodings of
+   real records. *)
 
 let gen_str = QCheck2.Gen.(string_size (int_range 0 12))
 
@@ -1073,17 +1087,6 @@ let gen_record =
       ~crashes ~status ~configs ~probes ~dedup_hits ~sleep_pruned ~truncated ~elapsed
       ~extra ())
 
-let gen_verdict =
-  QCheck2.Gen.(
-    oneof
-      [
-        (let+ depth = int and+ pairs = int in
-         Analysis.Symmetry.Certified_symmetric { depth; pairs });
-        (let+ pid_a = int and+ pid_b = int and+ input = int and+ detail = gen_str in
-         Analysis.Symmetry.Asymmetric { pid_a; pid_b; input; detail });
-        map (fun reason -> Analysis.Symmetry.Unknown reason) gen_str;
-      ])
-
 let gen_untrusted =
   QCheck2.Gen.(
     let encoding =
@@ -1093,7 +1096,6 @@ let gen_untrusted =
           map
             (fun r -> Campaign.Json.to_string_pretty (Campaign.Record.to_json r))
             gen_record;
-          map Campaign.Cert.to_string gen_verdict;
         ]
     in
     let truncated =
@@ -1127,8 +1129,7 @@ let prop_parsers_never_raise =
       total "Json.of_string" Campaign.Json.of_string s
       && (match Campaign.Json.of_string s with
           | Ok j -> total "Record.of_json" Campaign.Record.of_json j
-          | Error _ -> true)
-      && total "Cert.of_string" Campaign.Cert.of_string s)
+          | Error _ -> true))
 
 (* [compare], not [=], so a NaN [elapsed] counts as equal to itself.  Both
    the in-memory tree and the bytes the store writes must round-trip. *)
@@ -1246,6 +1247,8 @@ let () =
             test_store_find_rescans_disk;
           Alcotest.test_case "event lines stay whole" `Quick
             test_store_event_lines_stay_whole;
+          Alcotest.test_case "opens a directory with a certs/ layout" `Quick
+            test_store_opens_older_layout;
         ] );
       ( "executor",
         [
@@ -1261,13 +1264,8 @@ let () =
             test_run_shared_breaks_expired_leases;
           Alcotest.test_case "shared mode drain is bounded under clock skew"
             `Quick test_run_shared_drain_bounded_by_timeout;
-        ] );
-      ( "cert",
-        [
-          Alcotest.test_case "verdicts round-trip the file format" `Quick
-            test_cert_roundtrip;
-          Alcotest.test_case "precertify reads and writes the store" `Quick
-            test_precertify_uses_store;
+          Alcotest.test_case "two domains certify like one" `Quick
+            test_executor_domains_certify_alike;
         ] );
       ( "status",
         [
