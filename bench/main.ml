@@ -1021,8 +1021,8 @@ let lint_bench ~smoke () =
     (List.length self)
     (Analysis.Report.errors self)
     self_dt;
-  Printf.printf "\n%-22s %2s %6s %6s %8s %3s  %s\n" "row" "n" "nodes" "edges" "work" "sig"
-    "truncated";
+  Printf.printf "\n%-22s %2s %6s %6s %8s %3s %6s  %s\n" "row" "n" "nodes" "edges" "work"
+    "sig" "builds" "truncated";
   Analysis.Absint.reset_cache ();
   let analyze_rows, analyze_dt =
     time (fun () ->
@@ -1031,8 +1031,8 @@ let lint_bench ~smoke () =
             List.map
               (fun n ->
                 let a = Analysis.Absint.analyze row.protocol ~n in
-                Printf.printf "%-22s %2d %6d %6d %8d %3d  %s\n%!" row.id n a.nodes a.edges
-                  a.work a.sig_depth
+                Printf.printf "%-22s %2d %6d %6d %8d %3d %6d  %s\n%!" row.id n a.nodes
+                  a.edges a.work a.sig_depth a.builds
                   (Option.value a.truncated ~default:"-");
                 Campaign.Json.Obj
                   [
@@ -1046,6 +1046,13 @@ let lint_bench ~smoke () =
                       match a.truncated with
                       | None -> Campaign.Json.Null
                       | Some r -> Campaign.Json.String r );
+                    ("converged", Campaign.Json.Bool a.converged);
+                    ("complete", Campaign.Json.Bool a.complete);
+                    ( "tops",
+                      Campaign.Json.List (List.map (fun l -> Campaign.Json.Int l) a.tops) );
+                    ("dead_nodes", Campaign.Json.Int a.dead_nodes);
+                    ("undecided_nodes", Campaign.Json.Int a.undecided_nodes);
+                    ("builds", Campaign.Json.Int a.builds);
                   ])
               ns)
           rows)
@@ -1056,6 +1063,8 @@ let lint_bench ~smoke () =
   write_json "BENCH_lint.json"
     (Campaign.Json.Obj
        [
+         ("cores", Campaign.Json.Int (Domain.recommended_domain_count ()));
+         ("ocaml", Campaign.Json.String Sys.ocaml_version);
          ("ns", Campaign.Json.List (List.map (fun n -> Campaign.Json.Int n) ns));
          ("certify", Campaign.Json.List certify_rows);
          ("lint_findings", Campaign.Json.Int (List.length findings));

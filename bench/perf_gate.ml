@@ -26,8 +26,9 @@
      times the committed one;
    - with --lint: a fresh full BENCH_lint.json disagrees with the committed
      one — every certify verdict, the lint finding, error and warning
-     counts, the selftest counts and every analyze row
-     (nodes, edges, work, signature depth, truncation) must be equal, and
+     counts, the selftest counts and every analyze row (nodes, edges, work,
+     signature depth, truncation, convergence, completeness, Top locations,
+     dead and undecided nodes, CFG builds) must be equal, and
      [lint_elapsed_s] and [analyze_elapsed_s] must stay within
      [floor_divisor] times the committed ones.
 
@@ -206,7 +207,11 @@ let check_lint ~baseline current =
         committed fresh
   in
   same_table "certify" [ "row"; "verdict" ];
-  same_table "analyze" [ "row"; "n"; "nodes"; "edges"; "work"; "sig_depth"; "truncated" ];
+  same_table "analyze"
+    [
+      "row"; "n"; "nodes"; "edges"; "work"; "sig_depth"; "truncated"; "converged";
+      "complete"; "tops"; "dead_nodes"; "undecided_nodes"; "builds";
+    ];
   List.iter
     (fun key ->
       let committed = field key baseline and fresh = field key current in

@@ -14,6 +14,15 @@
      which can add candidates — so build and closure iterate to a joint
      fixpoint (or [rounds_cap]).
 
+   A round whose closure grew only the feasibility of results the build
+   already listed needs no new build.  The next build would read the same
+   result lists, so it would be this graph with new [feasible] bits
+   ({!Cfg.Make.relabel}); it would issue the same ops, so its [close] would
+   add nothing and its key would equal this round's, and the loop would
+   return it as converged.  The loop returns the relabelled graph at once,
+   with the same graph, work, truncation and verdicts as that rebuild;
+   [builds] counts only the graphs actually built.
+
    When the joint fixpoint is reached with no truncation and no Top
    location, the analysis is [complete]: the feasible subgraph
    over-approximates every concrete execution (every concretely reachable
@@ -58,6 +67,7 @@ type t = {
   decisions : int list;  (** values decided at feasibly-reachable nodes *)
   ops : string list;  (** printed forms of every issued op *)
   roots : ((int * int) * int) list;  (** (pid, input) to root node id *)
+  builds : int;  (** CFG builds the run made; a relabelled round is not one *)
 }
 
 let default_inputs = [ 0; 1 ]
@@ -134,8 +144,7 @@ let reaches_decision (cfg : Cfg.t) feasible =
   done;
   ok
 
-let analyze_uncached ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budget
-    ~inputs (module P : Consensus.Proto.S) ~n =
+let analyze_uncached ?work_budget ~inputs (module P : Consensus.Proto.S) ~n =
   let module C = Cfg.Make (P) in
   let module I = P.I in
   (* per-location abstract value sets, keyed on printed cell *)
@@ -225,18 +234,23 @@ let analyze_uncached ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budge
            Buffer.add_char b '|');
     Buffer.contents b
   in
-  let rec iterate round prev_key =
-    let g =
-      C.build ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budget ~results ~n
-        ~inputs ()
-    in
+  let builds = ref 0 in
+  let build () =
+    incr builds;
+    C.build ?work_budget ~results ~n ~inputs ()
+  in
+  (* a relabelled round is the converged rebuild it skips (see the header) *)
+  let rec iterate round prev_key g =
     close g.C.issued_at;
     let key = state_key g.C.issued_at in
     if key = prev_key then (g, true)
     else if round >= rounds_cap then (g, false)
-    else iterate (round + 1) key
+    else
+      match C.relabel g ~results with
+      | Some g -> (g, true)
+      | None -> iterate (round + 1) key (build ())
   in
-  let g, converged = iterate 1 "" in
+  let g, converged = iterate 1 "" (build ()) in
   let cfg = g.C.cfg in
   let feasible = feasible_reach cfg in
   let decided = reaches_decision cfg feasible in
@@ -294,6 +308,7 @@ let analyze_uncached ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budge
     decisions = Hashtbl.fold (fun v () acc -> v :: acc) decisions [] |> List.sort compare;
     ops = List.sort compare (List.map C.op_str g.C.issued);
     roots = cfg.Cfg.roots;
+    builds = !builds;
   }
 
 (* Analyses are deterministic and protocol-keyed; memoize across the many

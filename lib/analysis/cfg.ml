@@ -31,7 +31,17 @@
    offers no result at all — marks the graph [truncated] with the reason,
    and every downstream pass treats a truncated graph as evidence, not
    certificate.  Termination is unconditional: node count and feed count
-   are both budgeted. *)
+   are both budgeted.
+
+   What a build records.  Besides the graph, {!Make.build} returns the ops
+   its nodes issue and every (location, op) result alphabet it read, in any
+   deepening attempt.  Each result carries a feasibility flag, and the flags
+   reach the graph only as the edges' [feasible] bits: which continuations
+   are fed, how states merge, where a budget fires and how much work is
+   spent depend on the result lists alone.  {!Make.relabel} therefore turns
+   a graph into the one a rebuild under new flags would produce whenever
+   every alphabet it read lists the same results in the same order, and
+   refuses otherwise. *)
 
 type term =
   | Decide of int  (** [Done v]: the process decides [v]. *)
@@ -147,14 +157,17 @@ module Make (P : Consensus.Proto.S) = struct
     cfg : t;
     issued : I.op list;  (** every op named in any node, dedup'd on print *)
     issued_at : (int * I.op) list;  (** (location, op) pairs, dedup'd *)
+    alphabets : ((int * I.op) * (I.result * bool) list) list;
+        (** every (location, op) alphabet the build read, in any deepening
+            attempt, as [results] gave it *)
   }
 
   exception Unstable
   exception Stop_build of string
 
-  let build ?(sig_depth = default_sig_depth) ?(max_sig_depth = default_max_sig_depth)
-      ?(max_nodes = default_max_nodes) ?(width_cap = default_width_cap)
-      ?(work_budget = default_work_budget) ~results ~n ~inputs () =
+  let build ?(work_budget = default_work_budget) ~results ~n ~inputs () =
+    let sig_depth = default_sig_depth and max_sig_depth = default_max_sig_depth in
+    let max_nodes = default_max_nodes and width_cap = default_width_cap in
     let work = ref 0 in
     let spend () =
       incr work;
@@ -164,6 +177,7 @@ module Make (P : Consensus.Proto.S) = struct
     (* [results] is fixed for the whole build, so each (location, op)
        alphabet is read once per build. *)
     let alphabets = Hashtbl.create 16 in
+    let read () = Hashtbl.fold (fun lo rs acc -> (lo, rs) :: acc) alphabets [] in
     let results loc op : (I.result * bool) list =
       match Hashtbl.find_opt alphabets (loc, op) with
       | Some rs -> rs
@@ -352,6 +366,7 @@ module Make (P : Consensus.Proto.S) = struct
         cfg = { nodes; roots; truncated = !truncated; sig_depth = k; work = !work };
         issued = Hashtbl.fold (fun _ op acc -> op :: acc) issued [];
         issued_at = Hashtbl.fold (fun _ lo acc -> lo :: acc) issued_at [];
+        alphabets = read ();
       }
     in
     let rec deepen k =
@@ -367,17 +382,56 @@ module Make (P : Consensus.Proto.S) = struct
           { nodes = [||]; roots = []; truncated = Some reason; sig_depth; work = !work };
         issued = [];
         issued_at = [];
+        alphabets = read ();
       }
+
+  (* [g] as a build under [results] would give it, when every alphabet [g]
+     read lists the same results in the same order (printed form); [None]
+     otherwise, since only a rebuild can tell what it would read then.  The
+     header says why this is exact.  A node's edges are the cartesian
+     product of its accesses' alphabets in [vectors]'s order, so each edge's
+     new [feasible] is the conjunction of its components' flags, taken in
+     that same product. *)
+  let relabel g ~results =
+    let fresh =
+      List.map (fun ((loc, op), _) -> ((loc, op), results loc op)) g.alphabets
+    in
+    let same (r, _) (r', _) = String.equal (res_str r) (res_str r') in
+    let unchanged (_, rs) (_, rs') = List.equal same rs rs' in
+    if not (List.for_all2 unchanged g.alphabets fresh) then None
+    else begin
+      let flags = Hashtbl.create 16 in
+      List.iter
+        (fun ((loc, op), rs) -> Hashtbl.replace flags (loc, op_str op) (List.map snd rs))
+        fresh;
+      (* each vector's conjunction of flags, in [vectors]'s order *)
+      let feasible accs =
+        List.fold_left
+          (fun acc access ->
+            let fs = Hashtbl.find flags access in
+            List.concat_map (fun pre -> List.map (fun f -> pre && f) fs) acc)
+          [ true ] accs
+        |> Array.of_list
+      in
+      let node (nd : node) =
+        match nd.term with
+        | Access accs when Array.length nd.edges > 0 ->
+          let fs = feasible accs in
+          { nd with edges = Array.map2 (fun e f -> { e with feasible = f }) nd.edges fs }
+        | _ -> nd
+      in
+      let nodes = Array.map node g.cfg.nodes in
+      Some { g with cfg = { g.cfg with nodes }; alphabets = fresh }
+    end
 end
 
 (* Erased convenience entry point: the step graph of a protocol under the
    sampled alphabet, every result feasible.  This is the [Cfg.of_proto] the
    analyze CLI exposes; the value-set-refined build lives in {!Absint}. *)
-let of_proto ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budget
-    ?(inputs = [ 0; 1 ]) (module P : Consensus.Proto.S) ~n =
+let of_proto ?work_budget ?(inputs = [ 0; 1 ]) (module P : Consensus.Proto.S) ~n =
   let module C = Make (P) in
   let g =
-    C.build ?sig_depth ?max_sig_depth ?max_nodes ?width_cap ?work_budget
+    C.build ?work_budget
       ~results:(fun _ op -> List.map (fun r -> (r, true)) (C.sampled op))
       ~n ~inputs ()
   in

@@ -511,6 +511,71 @@ let test_print_agrees () =
       end)
     (Hierarchy.rows ~recovery:true ())
 
+(* 15. [Cfg.Make.relabel] is the rebuild it skips: a graph built under one
+   set of feasibility flags and relabelled under another equals the graph
+   built under the other, in every node term, edge label, target and flag,
+   root, truncation, signature depth and work count; every registry row,
+   recovery rows included, at n = 2 and 3.  The flags are seeded hashes of
+   (location, op, result), so they move on many edges.  An alphabet with
+   one read result reordered or dropped must make [relabel] refuse. *)
+let test_relabel_equals_rebuild () =
+  let moved = ref 0 in
+  List.iter
+    (fun (row : Hierarchy.row) ->
+      let (module P : Consensus.Proto.S) = row.protocol in
+      let module C = Cfg.Make (P) in
+      let flagged seed loc op =
+        List.map
+          (fun r -> (r, Hashtbl.hash (seed, loc, C.op_str op, C.res_str r) land 1 = 0))
+          (C.sampled op)
+      in
+      List.iter
+        (fun n ->
+          let label what = Printf.sprintf "%s n=%d: %s" row.id n what in
+          let build results =
+            C.build ~work_budget:20_000 ~results ~n ~inputs:[ 0; 1 ] ()
+          in
+          let a = build (flagged 1) and b = build (flagged 2) in
+          match C.relabel a ~results:(flagged 2) with
+          | None -> Alcotest.failf "%s" (label "relabel refused the same result lists")
+          | Some r ->
+            let nodes f (g : C.graph) = Array.map f g.cfg.nodes in
+            let terms = nodes (fun nd -> nd.Cfg.term) in
+            let edges = nodes (fun nd -> nd.Cfg.edges) in
+            Alcotest.(check bool) (label "node terms") true (terms r = terms b);
+            Alcotest.(check bool) (label "edges") true (edges r = edges b);
+            Alcotest.(check bool) (label "roots") true (r.cfg.roots = b.cfg.roots);
+            Alcotest.(check (option string)) (label "truncation") b.cfg.truncated
+              r.cfg.truncated;
+            Alcotest.(check int) (label "signature depth") b.cfg.sig_depth
+              r.cfg.sig_depth;
+            Alcotest.(check int) (label "work") b.cfg.work r.cfg.work;
+            Array.iter2
+              (fun (x : Cfg.node) (y : Cfg.node) ->
+                Array.iter2
+                  (fun (e : Cfg.edge) (e' : Cfg.edge) ->
+                    if e.feasible <> e'.feasible then incr moved)
+                  x.edges y.edges)
+              a.cfg.nodes r.cfg.nodes;
+            (* the same flags, with one read alphabet reordered or cut short *)
+            let key =
+              match List.find_opt (fun (_, rs) -> List.length rs >= 2) a.alphabets with
+              | Some (key, _) -> key
+              | None -> Alcotest.failf "%s" (label "no alphabet lists two results")
+            in
+            List.iter
+              (fun (what, edit) ->
+                let results loc op =
+                  let rs = flagged 2 loc op in
+                  if (loc, op) = key then edit rs else rs
+                in
+                Alcotest.(check bool) (label ("refuses " ^ what)) true
+                  (C.relabel a ~results = None))
+              [ ("a reordered alphabet", List.rev); ("a dropped result", List.tl) ])
+        [ 2; 3 ])
+    (Hierarchy.rows ~recovery:true ());
+  Alcotest.(check bool) "the flags moved on some edge" true (!moved > 0)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -554,5 +619,6 @@ let () =
           Alcotest.test_case "analysis summaries pinned" `Quick test_absint_pinned;
           Alcotest.test_case "memoized printer agrees with Format" `Quick
             test_print_agrees;
+          Alcotest.test_case "relabel equals rebuild" `Quick test_relabel_equals_rebuild;
         ] );
     ]
