@@ -968,8 +968,10 @@ let campaign_bench ~smoke () =
 (* The static-analysis passes: per-row symmetry certification timing (and the
    effect of the run cache), the full-registry lint with its findings
    summary — the same pass CI runs via `space_hierarchy lint --strict` — and
-   a cold [Absint.analyze] of every row at every n, the CFG work
-   `space_hierarchy analyze` pays.  Results go to BENCH_lint.json. *)
+   a cold [Absint.analyze] of every row at every n with its findings, the
+   CFG work `space_hierarchy analyze` pays.  Each analyze row records what
+   `analyze --json` prints of the analysis, its issued ops as a count and a
+   digest (they are most of its bytes).  Results go to BENCH_lint.json. *)
 let lint_bench ~smoke () =
   section "LINT: protocol & iset linter (certify / contracts / space claims)";
   let ns = if smoke then [ 2 ] else [ 2; 3 ] in
@@ -1023,6 +1025,15 @@ let lint_bench ~smoke () =
     self_dt;
   Printf.printf "\n%-22s %2s %6s %6s %8s %3s %6s  %s\n" "row" "n" "nodes" "edges" "work"
     "sig" "builds" "truncated";
+  let finding_json (f : Analysis.Report.finding) =
+    Campaign.Json.(
+      Obj
+        [
+          ("severity", String (Analysis.Report.severity_name f.severity));
+          ("rule", String f.rule);
+          ("detail", String f.detail);
+        ])
+  in
   Analysis.Absint.reset_cache ();
   let analyze_rows, analyze_dt =
     time (fun () ->
@@ -1030,29 +1041,37 @@ let lint_bench ~smoke () =
           (fun (row : Hierarchy.row) ->
             List.map
               (fun n ->
-                let a = Analysis.Absint.analyze row.protocol ~n in
+                let (module P : Consensus.Proto.S) = row.protocol in
+                let a = Analysis.Absint.analyze (module P) ~n in
+                let findings = Analysis.Absint.lint_findings ?declared:(P.locations ~n) a in
                 Printf.printf "%-22s %2d %6d %6d %8d %3d %6d  %s\n%!" row.id n a.nodes
                   a.edges a.work a.sig_depth a.builds
                   (Option.value a.truncated ~default:"-");
-                Campaign.Json.Obj
+                let open Campaign.Json in
+                let ints xs = List (List.map (fun i -> Int i) xs) in
+                let ops = to_string (List (List.map (fun s -> String s) a.ops)) in
+                Obj
                   [
-                    ("row", Campaign.Json.String row.id);
-                    ("n", Campaign.Json.Int n);
-                    ("nodes", Campaign.Json.Int a.nodes);
-                    ("edges", Campaign.Json.Int a.edges);
-                    ("work", Campaign.Json.Int a.work);
-                    ("sig_depth", Campaign.Json.Int a.sig_depth);
-                    ( "truncated",
-                      match a.truncated with
-                      | None -> Campaign.Json.Null
-                      | Some r -> Campaign.Json.String r );
-                    ("converged", Campaign.Json.Bool a.converged);
-                    ("complete", Campaign.Json.Bool a.complete);
-                    ( "tops",
-                      Campaign.Json.List (List.map (fun l -> Campaign.Json.Int l) a.tops) );
-                    ("dead_nodes", Campaign.Json.Int a.dead_nodes);
-                    ("undecided_nodes", Campaign.Json.Int a.undecided_nodes);
-                    ("builds", Campaign.Json.Int a.builds);
+                    ("row", String row.id);
+                    ("n", Int n);
+                    ("nodes", Int a.nodes);
+                    ("edges", Int a.edges);
+                    ("retro_edges", Int a.retro_edges);
+                    ("work", Int a.work);
+                    ("sig_depth", Int a.sig_depth);
+                    ("truncated", match a.truncated with None -> Null | Some r -> String r);
+                    ("converged", Bool a.converged);
+                    ("complete", Bool a.complete);
+                    ("tops", ints a.tops);
+                    ("footprint_all", ints a.footprint_all);
+                    ("footprint_feasible", ints a.footprint_feasible);
+                    ("dead_nodes", Int a.dead_nodes);
+                    ("undecided_nodes", Int a.undecided_nodes);
+                    ("decisions", ints a.decisions);
+                    ("ops_count", Int (List.length a.ops));
+                    ("ops_digest", String (Digest.to_hex (Digest.string ops)));
+                    ("findings", List (List.map finding_json findings));
+                    ("builds", Int a.builds);
                   ])
               ns)
           rows)

@@ -26,11 +26,13 @@
      times the committed one;
    - with --lint: a fresh full BENCH_lint.json disagrees with the committed
      one — every certify verdict, the lint finding, error and warning
-     counts, the selftest counts and every analyze row (nodes, edges, work,
-     signature depth, truncation, convergence, completeness, Top locations,
-     dead and undecided nodes, CFG builds) must be equal, and
-     [lint_elapsed_s] and [analyze_elapsed_s] must stay within
-     [floor_divisor] times the committed ones.
+     counts, the selftest counts and every analyze row must be equal: what
+     `analyze --json` prints of the analysis (nodes, edges, back-edges,
+     work, signature depth, truncation, convergence, completeness, Top
+     locations, both footprints, dead and undecided nodes, decisions, the
+     issued ops' count and digest, each finding's severity, rule and
+     detail) and its CFG builds.  [lint_elapsed_s] and [analyze_elapsed_s]
+     must stay within [floor_divisor] times the committed ones.
 
    A missing, malformed or smoke input exits 2.
 
@@ -189,28 +191,38 @@ let check_lint ~baseline current =
   if field "ns" current <> field "ns" baseline then
     die "the lint check needs a full LINT run (ns %s, committed %s)" (field "ns" current)
       (field "ns" baseline);
-  (* one line per row of a table, over the given fields *)
-  let table name fields j =
+  let table name j =
     match Campaign.Json.(get_list (member name j)) with
-    | Some l -> List.map (fun r -> String.concat " " (List.map (fun f -> field f r) fields)) l
+    | Some l -> l
     | None -> die "no %S array in lint bench json" name
   in
-  let same_table name fields =
-    let committed = table name fields baseline and fresh = table name fields current in
+  (* row by row, each named by its [keys], then field by field *)
+  let same_table name ~keys fields =
+    let committed = table name baseline and fresh = table name current in
     if List.length committed <> List.length fresh then
       fail "%s has %d rows, committed %d" name (List.length fresh) (List.length committed)
-    else if committed = fresh then
-      Printf.printf "ok   %d %s rows = committed baseline\n" (List.length fresh) name
-    else
+    else begin
+      let before = !failures in
       List.iter2
-        (fun c f -> if c <> f then fail "%s row differs:\n  committed %s\n  fresh     %s" name c f)
-        committed fresh
+        (fun c f ->
+          let label = String.concat " " (List.map (fun k -> field k f) keys) in
+          List.iter
+            (fun k ->
+              if field k c <> field k f then
+                fail "%s %s: %s differs\n  committed %s\n  fresh     %s" name label k
+                  (field k c) (field k f))
+            (keys @ fields))
+        committed fresh;
+      if !failures = before then
+        Printf.printf "ok   %d %s rows = committed baseline\n" (List.length fresh) name
+    end
   in
-  same_table "certify" [ "row"; "verdict" ];
-  same_table "analyze"
+  same_table "certify" ~keys:[ "row" ] [ "verdict" ];
+  same_table "analyze" ~keys:[ "row"; "n" ]
     [
-      "row"; "n"; "nodes"; "edges"; "work"; "sig_depth"; "truncated"; "converged";
-      "complete"; "tops"; "dead_nodes"; "undecided_nodes"; "builds";
+      "nodes"; "edges"; "retro_edges"; "work"; "sig_depth"; "truncated"; "converged";
+      "complete"; "tops"; "footprint_all"; "footprint_feasible"; "dead_nodes";
+      "undecided_nodes"; "decisions"; "ops_count"; "ops_digest"; "findings"; "builds";
     ];
   List.iter
     (fun key ->

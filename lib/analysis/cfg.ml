@@ -41,7 +41,15 @@
    spent depend on the result lists alone.  {!Make.relabel} therefore turns
    a graph into the one a rebuild under new flags would produce whenever
    every alphabet it read lists the same results in the same order, and
-   refuses otherwise. *)
+   refuses otherwise.
+
+   What a rejection costs.  A continuation that rejects its result vector
+   becomes a [Raises] edge (or a [!] in a signature) carrying the printed
+   exception.  Guards reject sampled results by the ten thousand per build
+   with a handful of distinct messages, so {!Print.exn_str} prints each
+   structurally distinct exception once; structurally equal exceptions
+   print alike, so every payload is the [Printexc.to_string] it replaces.
+   The feeds themselves all still run. *)
 
 type term =
   | Decide of int  (** [Done v]: the process decides [v]. *)
@@ -122,6 +130,32 @@ module Print (I : Model.Iset.S) = struct
   let op_str : I.op -> string = memo I.pp_op
   let res_str : I.result -> string = memo I.pp_result
   let cell_str : I.cell -> string = memo I.pp_cell
+
+  (* [Printexc.to_string], memoized per structurally distinct exception: a
+     guard rejects thousands of sampled results with a handful of distinct
+     messages.  [compare] keys an exception exactly only when its arguments
+     are immediates, strings and ordinary blocks of them — it equates [0.]
+     with [-0.], which print apart, and refuses closures — so any other
+     exception is printed on every call. *)
+  let exn_str =
+    let rec plain x =
+      Obj.is_int x
+      || Obj.tag x = Obj.string_tag
+      || (Obj.tag x < Obj.forcing_tag && args x 0)
+    and args x i = i >= Obj.size x || (plain (Obj.field x i) && args x (i + 1)) in
+    (* a constant exception is its constructor; otherwise field 0 is *)
+    let keyable (e : exn) =
+      let r = Obj.repr e in
+      Obj.tag r = Obj.object_tag || args r 1
+    in
+    let tbl : (exn, string) Hashtbl.t = Hashtbl.create 8 in
+    fun e ->
+      match Hashtbl.find_opt tbl e with
+      | Some s -> s
+      | None ->
+        let s = Printexc.to_string e in
+        if keyable e then Hashtbl.add tbl e s;
+        s
 
   (* Every result an op yields on some sampled cell, deduplicated on printed
      form in first-seen order: the alphabet the CFG build, the lockstep
@@ -208,7 +242,7 @@ module Make (P : Consensus.Proto.S) = struct
     in
     let feed k rs =
       spend ();
-      try Ok (k rs) with e -> Error (Printexc.to_string e)
+      try Ok (k rs) with e -> Error (exn_str e)
     in
     (* The depth-[d] observation signature, as a canonical string (printed
        forms print injectively in this codebase; strings are compared in

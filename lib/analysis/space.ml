@@ -129,8 +129,10 @@ let explore_check out (module P : Consensus.Proto.S) ~n ~declared ~depth =
 
 (* Symbolically unfold one process, feeding continuations every sampled
    result, and collect the set of locations named.  Returns the set and
-   whether the unfolding was complete (no branch cut off by a budget and no
-   continuation raised). *)
+   [None] when the unfolding was complete, or [Some reason] for the first
+   budget cap that cut a branch off.  A continuation that raises is a
+   guarded infeasible branch with nothing beyond it to collect: it leaves
+   the unfolding complete. *)
 let symbolic_footprint (module P : Consensus.Proto.S) ~n ~depth =
   let module I = P.I in
   let module Pr = Cfg.Print (I) in

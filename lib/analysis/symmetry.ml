@@ -102,7 +102,7 @@ let certify_pair (module P : Consensus.Proto.S) ~n ~pid_a ~pid_b ~input ~depth
         acc')
       [ [] ] lists
   in
-  let feed k rs = try Ok (k rs) with e -> Error (Printexc.to_string e) in
+  let feed k rs = try Ok (k rs) with e -> Error (Pr.exn_str e) in
   let nodes = ref 0 in
   let rec go d (ta : (I.op, I.result, int) Model.Proc.t) tb =
     incr nodes;

@@ -14,7 +14,7 @@ let read loc =
 
 let writer_of = function
   | Value.Tag (pid, _, _) -> pid
-  | v -> Format.kasprintf invalid_arg "assignment protocol: untagged value %a" Value.pp v
+  | v -> Value.reject "assignment protocol: untagged value" v
 
 let value_of v = Value.to_int_exn (Value.untag v)
 

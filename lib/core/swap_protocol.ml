@@ -7,7 +7,7 @@ let laps_of_value ~n v =
   match Value.untag v with
   | Value.Bot -> Array.make n 0
   | Value.Vec a -> Array.map Value.to_int_exn a
-  | v -> Format.kasprintf invalid_arg "Swap_protocol: malformed location %a" Value.pp v
+  | v -> Value.reject "Swap_protocol: malformed location" v
 
 (* Locations X_1 … X_{n−1} are indices 0 … n−2.  The scan compares raw
    (tagged) values, so two collects are equal only if no swap intervened. *)

@@ -86,7 +86,7 @@ struct
     Proc.map
       (function
         | Value.Vec v -> v
-        | v -> Format.kasprintf invalid_arg "buffer read returned %a" Value.pp v)
+        | v -> Value.reject "buffer read returned" v)
       (Proc.access loc Buf_read)
 
   let write loc v = Proc.map ignore (Proc.access loc (Buf_write v))

@@ -14,6 +14,8 @@ module type SPEC = sig
 end
 
 module Make (S : SPEC) = struct
+  let bad_read = S.name ^ ": bad buffer read"
+
   let apply ~loc op =
     if S.nontrivial op then
       Proc.map
@@ -30,7 +32,7 @@ module Make (S : SPEC) = struct
                    | v -> Some (S.decode_op v))
             in
             S.trivial_result op recent
-          | v -> Format.kasprintf invalid_arg "%s: bad buffer read %a" S.name Value.pp v)
+          | v -> Value.reject bad_read v)
         (Proc.access loc Buffer_set.Buf_read)
 end
 

@@ -85,7 +85,7 @@ let read ~capacities loc =
   Proc.map
     (function
       | Value.Vec v -> v
-      | v -> Format.kasprintf invalid_arg "hetero buffer read returned %a" Value.pp v)
+      | v -> Value.reject "hetero buffer read returned" v)
     (Proc.access loc (Buf_read (capacities loc)))
 
 let write ~capacities loc v =

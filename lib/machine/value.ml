@@ -81,14 +81,23 @@ let rec pp ppf = function
       (Array.to_seq v)
   | Tag (p, s, v) -> Format.fprintf ppf "%a@@%d.%d" pp v p s
 
+(* Guards reject sampled values by the ten thousand during CFG builds, so
+   the scalars skip [Format]: with no break hint to place, [pp] prints them
+   as these literals, and the message is the one [Format] would build. *)
+let reject prefix = function
+  | Int i -> invalid_arg (prefix ^ " " ^ string_of_int i)
+  | Bot -> invalid_arg (prefix ^ " ⊥")
+  | Unit -> invalid_arg (prefix ^ " ()")
+  | v -> Format.kasprintf invalid_arg "%s %a" prefix pp v
+
 let to_int_exn = function
   | Int i -> i
-  | v -> Format.kasprintf invalid_arg "Value.to_int_exn: %a" pp v
+  | v -> reject "Value.to_int_exn:" v
 
 let to_big_exn = function
   | Big b -> b
   | Int i -> Bignum.of_int i
-  | v -> Format.kasprintf invalid_arg "Value.to_big_exn: %a" pp v
+  | v -> reject "Value.to_big_exn:" v
 
 let untag = function
   | Tag (_, _, v) -> v

@@ -22,6 +22,14 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
+val reject : string -> t -> 'a
+(** [reject prefix v] raises [Invalid_argument] with exactly the message
+    [Format.kasprintf invalid_arg "%s %a" prefix pp v] raises, byte for
+    byte, line breaks in wide values included.  [Int], [Bot] and [Unit] are
+    printed without [Format]; every other value goes through it.  Guards
+    that refuse a malformed value call this, so refusing a scalar costs no
+    [Format] pass. *)
+
 val to_int_exn : t -> int
 (** @raise Invalid_argument if the value is not [Int _]. *)
 

@@ -5,7 +5,7 @@ let tag ~pid ~seq payload = Value.Tag (pid, seq, payload)
 
 let entry_exn = function
   | Value.Pair (Value.Vec h, x) -> (h, x)
-  | v -> Format.kasprintf invalid_arg "History: malformed buffer entry %a" Value.pp v
+  | v -> Value.reject "History: malformed buffer entry" v
 
 (* Reconstruct the full history from one ℓ-buffer-read result (the proof of
    Lemma 6.1).  [slots] is oldest-to-newest with ⊥ padding in front. *)
@@ -48,7 +48,7 @@ let get ~loc =
   let+ slots = Isets.Buffer_set.(Proc.access loc Buf_read) in
   match slots with
   | Value.Vec v -> reconstruct v
-  | v -> Format.kasprintf invalid_arg "History.get: buffer read returned %a" Value.pp v
+  | v -> Value.reject "History.get: buffer read returned" v
 
 let append ~loc ~elt =
   let* h = get ~loc in

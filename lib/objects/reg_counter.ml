@@ -11,7 +11,7 @@ let counts_value counts = Value.Vec (Array.map (fun c -> Value.Int c) counts)
 let counts_of_value = function
   | Value.Bot -> None
   | Value.Vec v -> Some (Array.map Value.to_int_exn v)
-  | v -> Format.kasprintf invalid_arg "Reg_counter: malformed register %a" Value.pp v
+  | v -> Value.reject "Reg_counter: malformed register" v
 
 let make (type op res) ~components ~(regs : (op, res) regs) ~pid : (op, res) Counter.t =
   (module struct

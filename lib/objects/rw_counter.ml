@@ -5,7 +5,7 @@ let counts_of_value ~components v =
   match Value.untag v with
   | Value.Bot -> Array.make components 0
   | Value.Vec a -> Array.map Value.to_int_exn a
-  | v -> Format.kasprintf invalid_arg "Rw_counter: malformed register %a" Value.pp v
+  | v -> Value.reject "Rw_counter: malformed register" v
 
 let make ~components ~n ~base ~pid : (Isets.Rw.op, Value.t) Counter.t =
   (module struct

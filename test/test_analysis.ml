@@ -416,8 +416,11 @@ let test_lint_refuses_empty_machine () =
 (* 13. The analysis output, pinned: the exact [Absint] summary on rows that
    cover every outcome of [Cfg.Make.build] — complete, complete with a dead
    branch, deepened signatures over Top locations, the node budget, no
-   stable quotient, and the work budget.  A faster build must produce the
-   same graphs. *)
+   stable quotient, and the work budget — and on the two rows whose feeds
+   raise most (buffer-2, where 82 % of the feeds are rejected history
+   entries, and swap).  For those two the distinct [Raises] payloads of the
+   sampled-alphabet graph under the same budget are pinned as well.  A
+   faster build must produce the same graphs. *)
 let test_absint_pinned () =
   let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
   let summary (a : Absint.t) =
@@ -465,13 +468,57 @@ let test_absint_pinned () =
         "42/86/45 sig 3 work 50001 truncated work budget exceeded at 50000 feeds \
          converged true tops [] complete false dead 5 undecided 37",
         [ 0; 1 ] );
+      ( "buffer-2", 2, None,
+        "4000/21972/0 sig 3 work 88306 truncated node budget exhausted at 4000 nodes \
+         converged true tops [0] complete false dead 0 undecided 4000",
+        [ 0 ] );
+      ( "swap", 2, Some 200_000,
+        "982/3880/967 sig 2 work 200001 truncated work budget exceeded at 200000 feeds \
+         converged true tops [0] complete false dead 0 undecided 982",
+        [ 0 ] );
+    ];
+  let raises (g : Cfg.t) =
+    Array.fold_left
+      (fun acc (nd : Cfg.node) ->
+        Array.fold_left
+          (fun acc (e : Cfg.edge) ->
+            match e.target with
+            | Cfg.Raises m when not (List.mem m acc) -> m :: acc
+            | _ -> acc)
+          acc nd.edges)
+      [] g.nodes
+    |> List.sort compare
+  in
+  let rejected prefix vs =
+    List.map (fun v -> Printf.sprintf "Invalid_argument(\"%s %s\")" prefix v) vs
+  in
+  List.iter
+    (fun (id, n, work_budget, want) ->
+      match Hierarchy.find id with
+      | None -> Alcotest.failf "registry row %s missing" id
+      | Some row ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s n=%d raises" id n)
+          want
+          (raises (Cfg.of_proto ?work_budget row.protocol ~n)))
+    [
+      ("buffer-2", 2, None, rejected "History: malformed buffer entry" [ "0"; "1" ]);
+      ( "swap", 2, Some 200_000,
+        rejected "Swap_protocol: malformed location" [ "0"; "1"; "2" ] );
     ]
 
 (* 14. The memoized printer prints what [Format.asprintf] prints — asked
    twice, so the second answer comes from its table — on every sampled op
    and cell of each registry instruction set and on what [apply] makes of
    them, and its sampled alphabet is the first-seen printed-distinct
-   results of [apply] over the sampled cells. *)
+   results of [apply] over the sampled cells.  Its [exn_str] prints what
+   [Printexc.to_string] prints, asked twice, on what each registry row's
+   root continuations raise on sampled results, and on exceptions it must
+   not serve from its table: one carrying a closure, and floats [compare]
+   equates but [Printexc] prints apart. *)
+exception Carries_closure of (int -> int)
+exception Carries_float of float
+
 let test_print_agrees () =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -509,7 +556,46 @@ let test_print_agrees () =
               (List.map Pr.res_str (Pr.sampled op)))
           (I.sample_ops ())
       end)
-    (Hierarchy.rows ~recovery:true ())
+    (Hierarchy.rows ~recovery:true ());
+  let raised = ref [] in
+  List.iter
+    (fun (row : Hierarchy.row) ->
+      let (module P : Consensus.Proto.S) = row.protocol in
+      let module Pr = Cfg.Print (P.I) in
+      let exns = ref [] in
+      List.iter
+        (fun input ->
+          for pid = 0 to 1 do
+            match P.proc ~n:2 ~pid ~input with
+            | Model.Proc.Step ((_ :: _ as accs), k) ->
+              let vectors =
+                List.fold_left
+                  (fun acc (_, op) ->
+                    List.concat_map
+                      (fun pre -> List.map (fun r -> pre @ [ r ]) (Pr.sampled op))
+                      acc)
+                  [ [] ] accs
+              in
+              List.iter
+                (fun rs -> match k rs with _ -> () | exception e -> exns := e :: !exns)
+                vectors
+            | _ | (exception _) -> ()
+          done)
+        [ 0; 1 ];
+      let exns = List.rev !exns in
+      List.iter
+        (fun e ->
+          let want = Printexc.to_string e in
+          for _ = 1 to 2 do
+            Alcotest.(check string) (row.id ^ ": exn_str") want (Pr.exn_str e)
+          done)
+        (exns @ [ Carries_closure succ; Carries_float 0.; Carries_float (-0.) ]);
+      raised := List.map Printexc.to_string exns @ !raised)
+    (Hierarchy.rows ~recovery:true ());
+  Alcotest.(check bool) "root continuations reject some sampled result" true
+    (List.exists
+       (fun m -> m = {|Invalid_argument("History: malformed buffer entry 1")|})
+       !raised)
 
 (* 15. [Cfg.Make.relabel] is the rebuild it skips: a graph built under one
    set of feasibility flags and relabelled under another equals the graph
