@@ -96,10 +96,13 @@ let run ?(domains = 1) ?(use_cache = true) ?(stop = fun () -> false)
   let queue = Array.of_list pending in
   let next = Atomic.make 0 in
   let executed = Atomic.make 0 in
+  (* set by the pool when a worker raises (from [Store.put], the telemetry
+     write or [on_event]): the other workers start no further task *)
+  let failed = Atomic.make false in
   let worker () =
     let continue = ref true in
     while !continue do
-      if stop () then continue := false
+      if stop () || Atomic.get failed then continue := false
       else begin
         let i = Atomic.fetch_and_add next 1 in
         if i >= Array.length queue then continue := false
@@ -115,11 +118,10 @@ let run ?(domains = 1) ?(use_cache = true) ?(stop = fun () -> false)
       end
     done
   in
-  let width = max 1 (min domains (Array.length queue)) in
-  if width <= 1 then worker ()
-  else
-    Array.init width (fun _ -> Domain.spawn worker)
-    |> Array.iter Domain.join;
+  Pool.run
+    ~width:(min domains (Array.length queue))
+    ~abort:(fun () -> Atomic.set failed true)
+    worker;
   let executed = Atomic.get executed in
   let records =
     Array.to_list results |> List.filter_map (fun r -> r)
@@ -212,7 +214,8 @@ let run_shared ?(domains = 1) ?(stop = fun () -> false) ?(on_event = fun _ -> ()
   let worker () =
     let continue = ref true in
     while !continue do
-      if stop () then begin
+      if Atomic.get stopped then continue := false
+      else if stop () then begin
         Atomic.set stopped true;
         continue := false
       end
@@ -227,10 +230,11 @@ let run_shared ?(domains = 1) ?(stop = fun () -> false) ?(on_event = fun _ -> ()
       end
     done
   in
-  let width = max 1 (min domains (Array.length queue)) in
-  if width <= 1 then worker ()
-  else
-    Array.init width (fun _ -> Domain.spawn worker) |> Array.iter Domain.join;
+  (* a worker that raises stops the others through [stopped] *)
+  Pool.run
+    ~width:(min domains (Array.length queue))
+    ~abort:(fun () -> Atomic.set stopped true)
+    worker;
   (* waiting room: tasks some other writer holds.  Poll for their records;
      if a holder dies, its lease expires and the re-claim executes here.
      The poll is bounded by [drain_timeout]: a lease whose mtime sits in

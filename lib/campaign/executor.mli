@@ -56,16 +56,22 @@ val run :
   outcome
 (** Run a campaign.
 
-    [domains] (default 1) is the worker-pool width; with 1 the tasks run
-    inline on the calling domain.  [use_cache] (default [true]) controls
-    the resume path — [false] re-runs every task, overwriting stored
-    records.  [stop] (default never) is polled before each task is
+    [domains] (default 1) is the worker-pool width ({!Pool.run}).  The
+    calling domain is always one of the workers: with 1 the tasks run
+    inline and no domain is spawned; with k the caller works beside k − 1
+    spawned domains, so the run holds k domains, never k + 1.
+    [use_cache] (default [true]) controls the resume path — [false]
+    re-runs every task, overwriting stored records.  [stop] (default
+    never) is polled before each task is
     claimed; once it returns [true] no further tasks start, already
     running tasks finish, and the remainder count as [aborted].
     [on_event] observes progress; telemetry is logged under the store's
     lock but the callback itself runs outside any lock, so a slow callback
     never serializes the worker domains — with [domains > 1] it may be
-    invoked from several domains concurrently.
+    invoked from several domains concurrently.  If [on_event] or a store
+    write raises, no worker starts another task, and the exception is
+    re-raised once every worker has stopped: no event arrives after [run]
+    returns or raises.
 
     A symmetric-reduction task certifies its protocol when a worker first
     runs it, through {!Analysis.Symmetry.certify_for_run}'s sharded
@@ -93,7 +99,12 @@ val run_shared :
     expires and the re-claim executes the task here, so a dead worker
     delays its in-flight tasks by at most the store's lease TTL.  The task
     list is rotated by this process's pid before claiming, so a fleet
-    launched simultaneously spreads over the grid.
+    launched simultaneously spreads over the grid.  [domains] is the
+    width of the claiming pool, the calling domain included, as in
+    {!run}.  A task one of its domains holds is lost to the others, as to
+    another process ({!Store.claim}), so two tasks with one fingerprint
+    execute once.  An exception from a worker stops the others and is
+    re-raised once they have stopped, before any parked task is polled.
 
     The polling loop is bounded: {!Store.claim} only breaks leases that
     {e look} expired by mtime, so a lease stamped in the future — a holder

@@ -7,6 +7,10 @@ type t = {
   lease_ttl : float;
   pid : int;
   index : (string, Record.t) Hashtbl.t;
+  held : (string, int) Hashtbl.t;
+      (* task -> the domain of this process that claimed it.  The domains
+         share one pid, hence one lease file, so [link] cannot tell them
+         apart: they arbitrate here *)
   mu : Mutex.t;
 }
 
@@ -90,6 +94,7 @@ let open_ ?(lease_ttl = 120.0) ~dir () =
     lease_ttl;
     pid = Unix.getpid ();
     index;
+    held = Hashtbl.create 16;
     mu = Mutex.create ();
   }
 
@@ -137,6 +142,7 @@ let same_inode a b =
   | exception Unix.Unix_error _ -> false
 
 let release_unlocked t task =
+  Hashtbl.remove t.held task;
   let own, lock = claim_paths t task in
   if same_inode own lock then (
     try Unix.unlink lock with Unix.Unix_error _ -> ());
@@ -152,13 +158,19 @@ let release t task = locked t (fun () -> release_unlocked t task)
    execution, which the store's atomic rename already tolerates. *)
 let break_lease t task =
   locked t (fun () ->
+      Hashtbl.remove t.held task;
       let _own, lock = claim_paths t task in
       try Unix.unlink lock with Unix.Unix_error _ -> ())
 
 let claim t task =
+  let self = (Domain.self () :> int) in
+  let held_elsewhere () =
+    match Hashtbl.find_opt t.held task with Some d -> d <> self | None -> false
+  in
   locked t (fun () ->
       match find_unlocked t task with
       | Some r -> `Done r
+      | None when held_elsewhere () -> `Lost
       | None ->
         let own, lock = claim_paths t task in
         write_file own (string_of_int t.pid ^ "\n");
@@ -192,7 +204,11 @@ let claim t task =
               end
             end
         in
-        acquire 2)
+        let outcome = acquire 2 in
+        (match outcome with
+         | `Claimed -> Hashtbl.replace t.held task self
+         | `Done _ | `Lost -> ());
+        outcome)
 
 (* ------------------------------------------------------------ records -- *)
 

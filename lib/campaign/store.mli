@@ -53,8 +53,11 @@ val claim : t -> string -> [ `Claimed | `Done of Record.t | `Lost ]
     expired.  Arbitration is a hard link from the writer's own lease file
     [claims/<task>.<pid>] to [claims/<task>.lease]: atomic on POSIX, so at
     most one claimant wins while the lease is live.  A lease older than
-    [lease_ttl] is treated as crashed and broken.  Re-claiming a task this
-    writer already holds returns [`Claimed]. *)
+    [lease_ttl] is treated as crashed and broken.  Re-claiming a task from
+    the domain that holds it returns [`Claimed].  The domains of one
+    process share its lease file, so the store arbitrates between them in
+    memory: while one holds a task, a claim from another returns [`Lost],
+    as a claim from another process would. *)
 
 val release : t -> string -> unit
 (** Drop this writer's claim on a task without writing a record (the

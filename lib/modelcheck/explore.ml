@@ -9,11 +9,13 @@
      depths (and sleep sets) already explored from that configuration, so a
      revisit is pruned when covered — and only {e partially} re-explored
      when a prior pass covered the depth from an incomparable sleep set.
-   - [`Parallel k] grows a sequential BFS prefix until the frontier is wide
-     enough to share, then [k] domains drain the frontier from a shared
-     work queue in batches, all updating one {e shared, sharded}
-     transposition table — work one domain claims is never repeated by
-     another, which is what domain-local tables used to do.
+   - [`Parallel k] grows a sequential BFS prefix on the calling domain
+     until the frontier is wide enough to share, then a [Pool] of [k]
+     workers (the calling domain and k − 1 spawned ones) drains the
+     frontier from a shared work queue in batches, all updating one
+     {e shared, sharded} transposition table — work one domain claims is
+     never repeated by another, which is what domain-local tables used to
+     do.
 
    Fingerprints are read off the machine's incrementally maintained
    two-lane digest (O(1) per configuration).
@@ -556,7 +558,8 @@ module Run (P : Consensus.Proto.S) = struct
   (* Parallel frontier: a sequential BFS prefix visits the shallow
      configurations (so their checks and `Everywhere probes still run
      exactly once), then the unvisited frontier is deduped by fingerprint
-     and drained by [domains] workers from a shared queue in batches.  Each
+     and drained by a [Pool] of [domains] workers, the calling domain
+     among them, from a shared queue in batches.  Each
      frontier item carries its schedule prefix so workers report full
      witnesses.
 
@@ -565,7 +568,8 @@ module Run (P : Consensus.Proto.S) = struct
      used to repeat that work), and the shard locks — selected by the
      fingerprint's low bits — almost never contend.  Claims are optimistic
      (inserted before the subtree is walked); that is sound here because
-     every worker joins before a verdict is produced, so a claim whose
+     the pool joins every worker before a verdict is produced — a worker
+     that raises stops the others ([stopped]) — so a claim whose
      exploration was cut short can only coexist with a [Falsified] or
      [Timed_out] verdict, never launder an incomplete [Completed]. *)
   let parallel ~reduce ~crash_budget ~domains ~probe ~solo_fuel ~inputs ~past ~obs c root
@@ -645,12 +649,6 @@ module Run (P : Consensus.Proto.S) = struct
     let errors = ref [] in
     let worker_counters = ref [] in
     let worker () =
-      (* Enlarge this domain's minor heap (4M words): every minor
-         collection in OCaml 5 is a stop-the-world handshake across all
-         domains, and on an oversubscribed host each handshake can cost a
-         scheduling quantum — fewer, larger collections roughly halve the
-         engine's wall clock when domains exceed cores. *)
-      Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
       let wc = fresh () in
       let indep = make_independent () in
       (* the deadline stops a worker exactly like a sibling's violation does;
@@ -699,8 +697,7 @@ module Run (P : Consensus.Proto.S) = struct
       worker_counters := wc :: !worker_counters;
       Mutex.unlock mu
     in
-    let doms = List.init domains (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join doms;
+    Pool.run ~width:domains ~abort:(fun () -> Atomic.set stopped true) worker;
     List.iter (merge c) !worker_counters;
     (* Report the violation of the earliest frontier item that found one,
        so the witness is as deterministic as the work split allows.  A

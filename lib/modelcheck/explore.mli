@@ -20,10 +20,12 @@
       already covered, so pruning never loses reachable configurations —
       and a revisit whose depth is covered from an incomparable sleep set
       re-explores only the transitions no prior pass stepped.
-    - [`Parallel k] expands a sequential BFS prefix and hands the frontier
-      to [k] domains ([Domain.spawn]) that drain a shared work queue in
+    - [`Parallel k] expands a sequential BFS prefix on the calling domain
+      and hands the frontier to [k] workers, the calling domain and k − 1
+      spawned ones ({!Pool.run}), that drain a shared work queue in
       batches, all updating one shared sharded transposition table — work
-      one domain claims is never repeated by another.
+      one domain claims is never repeated by another.  [`Parallel 1]
+      spawns no domain.
 
     Engines agree on the verdict: [Completed] vs [Falsified], and the
     violation kind, match across engines on the same protocol/depth (the

@@ -498,6 +498,27 @@ let test_store_claim_release () =
   | `Claimed -> ()
   | `Done _ | `Lost -> Alcotest.fail "a released task must be claimable again"
 
+(* The domains of one process share its pid, hence its lease file: while
+   one of them holds a task, a claim from another must lose, as a claim
+   from another process would.  Two tasks with one fingerprint in a
+   two-domain [run_shared] otherwise both execute. *)
+let test_store_claim_between_domains () =
+  let dir = temp_dir () in
+  let store = Campaign.Store.open_ ~dir () in
+  let task = "eeeeeeeeeeeeeeee" in
+  let elsewhere () = Domain.join (Domain.spawn (fun () -> Campaign.Store.claim store task)) in
+  (match Campaign.Store.claim store task with
+   | `Claimed -> ()
+   | `Done _ | `Lost -> Alcotest.fail "fresh claim should win");
+  (match elsewhere () with
+   | `Lost -> ()
+   | `Claimed | `Done _ -> Alcotest.fail "another domain must lose a held task");
+  Campaign.Store.put store (record ~task ());
+  match elsewhere () with
+  | `Done r ->
+    Alcotest.(check string) "then it reads the holder's record" task r.Campaign.Record.task
+  | `Claimed | `Lost -> Alcotest.fail "a completed task must claim as Done"
+
 let test_store_claim_foreign_lease () =
   let dir = temp_dir () in
   let store = Campaign.Store.open_ ~dir () in
@@ -762,6 +783,40 @@ let test_executor_logs_events () =
   Alcotest.(check (list string)) "telemetry sequence"
     [ "campaign_started"; "task_started"; "task_finished"; "campaign_finished" ]
     events
+
+(* A raising [on_event] stops the whole pool: the exception reaches the
+   caller, the other worker starts no further task, and no helper is left
+   running to emit events after [run] has raised — whichever of the two
+   workers raised first. *)
+let test_executor_raise_stops_every_worker () =
+  let store = Campaign.Store.open_ ~dir:(temp_dir ()) () in
+  let tasks =
+    List.concat_map
+      (fun id ->
+        List.map
+          (fun depth -> Campaign.Task.check ~engine:`Memo ~reduce:commute ~depth (row id) ~n:2)
+          [ 3; 4; 5; 6; 7; 8; 9; 10 ])
+      [ "cas"; "swap"; "max-register"; "rw"; "add" ]
+  in
+  let events = Atomic.make 0 and started = Atomic.make 0 and raised = Atomic.make false in
+  let on_event ev =
+    Atomic.incr events;
+    match ev with
+    | Campaign.Executor.Task_started _ -> Atomic.incr started
+    | Campaign.Executor.Task_finished { cached = false; _ }
+      when Atomic.compare_and_set raised false true ->
+      raise Exit
+    | _ -> ()
+  in
+  Alcotest.check_raises "on_event's exception reaches the caller" Exit (fun () ->
+      ignore (Campaign.Executor.run ~domains:2 ~on_event ~store tasks));
+  let after_return = Atomic.get events in
+  Unix.sleepf 0.05;
+  Alcotest.(check int) "no event after run raised" after_return (Atomic.get events);
+  Alcotest.(check bool)
+    (Printf.sprintf "started %d of %d tasks" (Atomic.get started) (List.length tasks))
+    true
+    (Atomic.get started < List.length tasks)
 
 let test_run_shared_executes_then_dedupes () =
   let dir = temp_dir () in
@@ -1237,6 +1292,8 @@ let () =
           Alcotest.test_case "skips corrupt files" `Quick test_store_skips_corrupt_files;
           Alcotest.test_case "claim protocol" `Quick test_store_claim_protocol;
           Alcotest.test_case "claim release" `Quick test_store_claim_release;
+          Alcotest.test_case "one writer's domains arbitrate" `Quick
+            test_store_claim_between_domains;
           Alcotest.test_case "foreign leases: honoured then broken" `Quick
             test_store_claim_foreign_lease;
           Alcotest.test_case "sweeps stale debris at open" `Quick
@@ -1258,6 +1315,8 @@ let () =
           Alcotest.test_case "honours deadlines" `Quick test_executor_honours_deadline;
           Alcotest.test_case "isolates crashes" `Quick test_executor_isolates_crashes;
           Alcotest.test_case "logs telemetry events" `Quick test_executor_logs_events;
+          Alcotest.test_case "a raise stops every worker" `Quick
+            test_executor_raise_stops_every_worker;
           Alcotest.test_case "shared mode executes then dedupes" `Quick
             test_run_shared_executes_then_dedupes;
           Alcotest.test_case "shared mode breaks expired leases" `Quick

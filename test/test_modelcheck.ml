@@ -286,6 +286,80 @@ let test_memo_dedups () =
     (memo.Explore.configs < naive.Explore.configs);
   Alcotest.(check int) "naive never hits the table" 0 naive.Explore.dedup_hits
 
+(* [P] with [f ~step] called as each step of each process takes effect;
+   [step] counts that process's steps from 1 *)
+let tapped (module P : Consensus.Proto.S) f : Consensus.Proto.t =
+  (module struct
+    include P
+
+    let proc ~n ~pid ~input =
+      let rec tap step = function
+        | Model.Proc.Done _ as d -> d
+        | Model.Proc.Step (ops, k) ->
+          Model.Proc.Step
+            ( ops,
+              fun rs ->
+                f ~step;
+                tap (step + 1) (k rs) )
+      in
+      tap 1 (P.proc ~n ~pid ~input)
+  end)
+
+(* 10b. A protocol that raises mid-walk: under [`Parallel 2] the exception
+   reaches the caller, whether it fires in the BFS prefix (a process's
+   third step) or in the pool's workers (its sixth: the prefix stops at
+   four levels), and a campaign task records it as a crash, as under
+   [`Memo]. *)
+let test_parallel_reraises () =
+  let rw = Option.get (Hierarchy.find "rw") in
+  List.iter
+    (fun bad ->
+      let protocol =
+        tapped rw.protocol (fun ~step -> if step = bad then failwith "tapped step")
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "parallel-2 re-raises (step %d)" bad)
+        (Failure "tapped step")
+        (fun () ->
+          ignore (Explore.run ~engine:(`Parallel 2) protocol ~inputs:[| 0; 1 |] ~depth:10));
+      List.iter
+        (fun (ename, engine) ->
+          let task =
+            Campaign.Task.check ~engine ~reduce:Explore.no_reduction ~depth:10
+              { rw with protocol } ~n:2
+          in
+          match (Campaign.Task.run task).Campaign.Record.status with
+          | Campaign.Record.Crash msg ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s task crash (step %d)" ename bad)
+              (Printexc.to_string (Failure "tapped step"))
+              msg
+          | s ->
+            Alcotest.failf "%s task (step %d): %s" ename bad (Campaign.Record.status_name s))
+        [ ("memo", `Memo); ("parallel-2", `Parallel 2) ])
+    [ 3; 6 ]
+
+(* 10c. Which domains run an exploration: [`Parallel 1] runs on the caller
+   alone, and [`Parallel 2] on the caller and at most one helper.  rw at
+   n = 2, depth 10 leaves a non-empty frontier after the BFS prefix. *)
+let test_parallel_domains () =
+  let seen = Atomic.make [] in
+  let rec note () =
+    let id = (Domain.self () :> int) and l = Atomic.get seen in
+    if (not (List.mem id l)) && not (Atomic.compare_and_set seen l (id :: l)) then note ()
+  in
+  let protocol = tapped Consensus.Rw_protocol.protocol (fun ~step:_ -> note ()) in
+  let ids k =
+    Atomic.set seen [];
+    ignore (ok_stats (Explore.run ~engine:(`Parallel k) protocol ~inputs:[| 0; 1 |] ~depth:10));
+    Atomic.get seen
+  in
+  let caller = (Domain.self () :> int) in
+  Alcotest.(check (list int)) "parallel-1 steps only on the caller" [ caller ] (ids 1);
+  let two = ids 2 in
+  Alcotest.(check bool) "parallel-2 steps on at most two domains" true (List.length two <= 2);
+  Alcotest.(check bool) "parallel-2 steps on the caller" true (List.mem caller two)
+
 (* 11. Witnesses: every engine's reported counterexample replays to the
    same violation kind, and shrinking only ever removes steps. *)
 let test_witness_replay_all_engines () =
@@ -676,6 +750,8 @@ let () =
           Alcotest.test_case "engines agree (broken protocols)" `Quick
             test_engines_agree_broken;
           Alcotest.test_case "memo dedups" `Quick test_memo_dedups;
+          Alcotest.test_case "parallel re-raises" `Quick test_parallel_reraises;
+          Alcotest.test_case "parallel domains" `Quick test_parallel_domains;
           Alcotest.test_case "deepen completes" `Quick test_deepen_completes;
         ] );
       ( "witnesses",
