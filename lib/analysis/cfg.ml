@@ -110,8 +110,8 @@ let retro_edge_count t =
     0 t.nodes
 
 (* The analysis layer's one printer: the printed forms of ops, results and
-   cells, memoized per distinct value on structural keys (as
-   [Model.Intern.Poly] keys ops), plus [sampled], the all-feasible result
+   cells, memoized per distinct value on structural keys (structural
+   equality and the polymorphic hash), plus [sampled], the all-feasible result
    alphabet, memoized per op.  Signatures, alphabets and value sets all key
    on printed forms, and no printed form changes within an analysis.  The
    tables are not thread-safe: apply the functor once per analysis call, so

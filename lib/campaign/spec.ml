@@ -92,6 +92,13 @@ let out_of_range spec =
         (fun d -> d < 0 || d > Transposition.max_depth)
         spec.depths
         (fun d -> Printf.sprintf "depth %d outside 0..%d" d Transposition.max_depth);
+      (if spec.depths <> [] then
+         first
+           (fun n -> n > Explore.max_processes)
+           spec.ns
+           (Printf.sprintf "a check takes at most %d processes, not %d"
+              Explore.max_processes)
+       else None);
       (if commute && spec.depths <> [] then
          first
            (fun n -> n > Transposition.max_sleep_pids)

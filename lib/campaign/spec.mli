@@ -61,6 +61,7 @@ val tasks : t -> (Task.t list, string) result
     reduction and one [Stress] task per stress seed.  [Error _] if a filter
     names an unknown row id, a grid dimension is empty, [observe] names
     an unknown observer, or a value is one no task could run: an n below
-    1, a depth outside [0 .. Transposition.max_depth], a commute reduction
-    over more than [Transposition.max_sleep_pids] processes, a negative
-    crash budget or a solo fuel below 1. *)
+    1, a depth outside [0 .. Transposition.max_depth], a check over more
+    than [Explore.max_processes] processes, a commute reduction over more
+    than [Transposition.max_sleep_pids] processes, a negative crash budget
+    or a solo fuel below 1. *)

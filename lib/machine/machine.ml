@@ -173,6 +173,9 @@ module Make (I : Iset.S) = struct
     | Proc.Step (accesses, _) -> Some accesses
     | Proc.Done _ -> None
 
+  let accesses cfg pid =
+    match cfg.procs.(pid) with Proc.Step (accesses, _) -> accesses | Proc.Done _ -> []
+
   let steps cfg = cfg.steps
   let steps_of cfg pid = word cfg pid w_steps
   let epoch cfg pid = word cfg pid w_epoch

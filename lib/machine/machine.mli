@@ -42,6 +42,12 @@ module Make (I : Iset.S) : sig
   (** The atomic accesses process [pid] is poised to perform, or [None] if
       it has decided. *)
 
+  val accesses : 'a config -> int -> (int * I.op) list
+  (** {!poised} without the option: the accesses process [pid] is poised to
+      perform, [[]] if it has decided or is blocked — so it is running iff
+      the list is non-empty.  Allocates nothing: the model checker's
+      sibling loop asks it per pid and per sleeping sibling. *)
+
   val steps : 'a config -> int
   (** Total steps taken so far. *)
 

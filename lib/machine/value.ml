@@ -108,14 +108,3 @@ let rec observe_int = function
   | Big b -> Bignum.to_int b
   | Tag (_, _, v) -> observe_int v
   | Bot | Unit | Pair _ | Vec _ -> None
-
-(* Hash-consing of values on semantic equality ([Int]/[Big] aliases of the
-   same number share an id, unlike the structural [Intern.Poly]).  Analyses
-   that repeatedly hash the same large values can intern once and work with
-   word-sized ids thereafter. *)
-module Intern = Intern.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)

@@ -46,9 +46,3 @@ val observe_int : t -> int option
     its payload; structured values ([Bot], [Unit], [Pair], [Vec]) observe as
     [None].  The standard implementation of {!Iset.S.observe_result} for
     instruction sets whose results are {!t}. *)
-
-module Intern : Intern.S with type key = t
-(** Hash-consing of values to dense integer ids on {e semantic} equality —
-    [Int i] and [Big (Bignum.of_int i)] intern to the same id.  See
-    {!Intern} for the id contract; like every intern table, instances are
-    per-domain (not thread-safe). *)

@@ -139,6 +139,17 @@ let certify_gate ~reduce ~force ~notify (module P : Consensus.Proto.S) ~inputs ~
       raise (Uncertified_symmetry { protocol = P.name; verdict })
   end
 
+(* The sibling loop and [Observer.agreement] keep sets of pids as int
+   bitmasks, one bit per pid; past the word, [1 lsl pid] wraps and pid 64
+   aliases pid 0, so a larger run would silently skip processes. *)
+let max_processes = Sys.int_size
+
+let process_gate fn ~inputs =
+  let n = Array.length inputs in
+  if n > max_processes then
+    invalid_arg
+      (Printf.sprintf "Explore.%s: at most %d processes, not %d" fn max_processes n)
+
 (* The transposition table packs each claim's depth and sleep set into one
    int ([Transposition.max_depth], [Transposition.max_sleep_pids]); a value
    outside its field would silently merge distinct claims, so every entry
@@ -149,6 +160,7 @@ let claim_gate fn ~reduce ~inputs ~depth =
     invalid_arg
       (Printf.sprintf "Explore.%s: depth %d outside 0..%d" fn depth
          Transposition.max_depth);
+  process_gate fn ~inputs;
   if reduce.commute && Array.length inputs > Transposition.max_sleep_pids then
     invalid_arg
       (Printf.sprintf "Explore.%s: the commute reduction takes at most %d processes, not %d"
@@ -290,12 +302,12 @@ module Run (P : Consensus.Proto.S) = struct
      observer by [observer_gate]) stay exact. *)
 
   let feed_accesses o cfg pid =
-    match M.poised cfg pid with
-    | None | Some [] -> o
-    | Some [ (loc, op) ] ->
+    match M.accesses cfg pid with
+    | [] -> o
+    | [ (loc, op) ] ->
       let _, r = P.I.apply op (M.cell cfg loc) in
       Observer.Run.access o ~pid ~loc ~value:(P.I.observe_result r)
-    | Some accesses ->
+    | accesses ->
       (* multi-assignment: later ops of the step see earlier writes *)
       let overlay = ref [] in
       List.fold_left
@@ -374,103 +386,70 @@ module Run (P : Consensus.Proto.S) = struct
     if reduce.symmetric then M.canonical_fingerprint_words ~inputs
     else M.fingerprint_words
 
-  (* Interned-op independence for the sleep-set filter: each domain interns
-     the ops it encounters to dense ids ([Model.Intern]) and keeps an
-     eagerly filled commutation bit-matrix over the ids, so the repeated
-     question "do these two poised accesses commute?" is two array loads
-     instead of a structural match per query.  The closure owns its table —
-     create one per domain (intern tables are not thread-safe).
+  (* [indep cfg p q]: whether the atomic steps [p] and [q] are poised at
+     are independent — every pair of their accesses is to distinct
+     locations or commutes on the shared one, asked of [p]'s op first.  A
+     process that is not poised is independent of nothing.  Every registry
+     row steps one access at a time, so the common pair costs one
+     [P.I.commutes] call, a constructor match; only multi-assignment steps
+     compare every pair. *)
+  let indep cfg p q =
+    match (M.accesses cfg p, M.accesses cfg q) with
+    | [ (l1, o1) ], [ (l2, o2) ] -> l1 <> l2 || P.I.commutes o1 o2
+    | [], _ | _, [] -> false
+    | ap, aq ->
+      List.for_all
+        (fun (l1, o1) -> List.for_all (fun (l2, o2) -> l1 <> l2 || P.I.commutes o1 o2) aq)
+        ap
 
-     [indep cfg p q]: whether the atomic steps [p] and [q] are poised at
-     are independent — every pair of accesses is to distinct locations or
-     commutes on the shared one.  Only meaningful when both are poised.
-     The matrix fills lazily: an op is interned, and its row and column
-     computed, the first time the walk meets it. *)
-  let make_independent () =
-    let module OI = Model.Intern.Poly (struct
-      type t = P.I.op
-    end) in
-    let ops = OI.create () in
-    let cap = ref 0 in
-    let mat = ref Bytes.empty in
-    let filled = ref 0 in
-    let fill upto =
-      if upto > !cap then begin
-        let ncap = Stdlib.max 16 (Stdlib.max upto (!cap * 2)) in
-        let nmat = Bytes.make (ncap * ncap) '\000' in
-        for i = 0 to !filled - 1 do
-          Bytes.blit !mat (i * !cap) nmat (i * ncap) !filled
-        done;
-        cap := ncap;
-        mat := nmat
-      end;
-      for i = !filled to upto - 1 do
-        let oi = OI.value ops i in
-        for j = 0 to upto - 1 do
-          let oj = OI.value ops j in
-          Bytes.set !mat ((i * !cap) + j) (if P.I.commutes oi oj then '\001' else '\000');
-          Bytes.set !mat ((j * !cap) + i) (if P.I.commutes oj oi then '\001' else '\000')
-        done
-      done;
-      filled := upto
-    in
-    let op_id o =
-      let i = OI.id ops o in
-      if OI.size ops > !filled then fill (OI.size ops);
-      i
-    in
-    let commutes_id i j = Bytes.get !mat ((i * !cap) + j) = '\001' in
-    fun cfg p q ->
-      match (M.poised cfg p, M.poised cfg q) with
-      | Some ap, Some aq ->
-        List.for_all
-          (fun (l1, o1) ->
-            let i1 = op_id o1 in
-            List.for_all (fun (l2, o2) -> l1 <> l2 || commutes_id i1 (op_id o2)) aq)
-          ap
-      | _ -> false
+  let is_running cfg pid = match M.accesses cfg pid with [] -> false | _ :: _ -> true
 
-  (* The sibling loop shared by full visits and partial revisits.  [inter]
-     restricts which transitions still need exploring: a pid outside it was
-     already explored from this configuration by a prior, at-least-as-deep
-     pass (a full visit passes [-1] — everything needs exploring).  Covered
-     pids join the sleep set up front: their subtrees are explored
-     elsewhere, which is exactly the sleep-set invariant, so later siblings
-     may sleep on them like on any explored sibling.
+  (* The pids of [asleep] that stay asleep below the step of [pid]: those
+     whose own step is independent of it — a dependent step wakes them. *)
+  let still_asleep cfg n asleep pid =
+    let kept = ref 0 in
+    for q = 0 to n - 1 do
+      let bit = 1 lsl q in
+      if asleep land bit <> 0 && indep cfg q pid then kept := !kept lor bit
+    done;
+    !kept
+
+  (* The sibling loop shared by full visits and partial revisits: the
+     running pids in ascending order, with the covered and asleep sets as
+     int masks — one bit per pid, which [claim_gate]'s process cap keeps
+     inside the word.  [inter] restricts which transitions still need
+     exploring: a pid outside it was already explored from this
+     configuration by a prior, at-least-as-deep pass (a full visit passes
+     [-1] — everything needs exploring).  Covered pids join the sleep set up
+     front: their subtrees are explored elsewhere, which is exactly the
+     sleep-set invariant, so later siblings may sleep on them like on any
+     explored sibling.
 
      [asleep] accumulates the inherited sleep set plus the siblings already
      explored at this node; after exploring child [pid], later siblings
-     inherit [pid] asleep as long as their step is independent of [pid]'s —
-     a dependent step wakes it. *)
-  let children ~reduce ~indep ~go c cfg d path sleep obs inter =
-    let running = M.running cfg in
-    let covered = lnot inter in
+     inherit [pid] asleep as long as their step is independent of [pid]'s. *)
+  let children ~reduce ~go c cfg d path sleep obs inter =
+    let n = M.n_processes cfg and covered = lnot inter in
     let asleep = ref sleep in
     if covered <> 0 then
-      List.iter
-        (fun q -> if covered land (1 lsl q) <> 0 then asleep := !asleep lor (1 lsl q))
-        running;
-    List.iter
-      (fun pid ->
+      for q = 0 to n - 1 do
+        let bit = 1 lsl q in
+        if covered land bit <> 0 && is_running cfg q then asleep := !asleep lor bit
+      done;
+    for pid = 0 to n - 1 do
+      if is_running cfg pid then begin
         let bit = 1 lsl pid in
         if !asleep land bit <> 0 then begin
           if covered land bit = 0 then c.sleeps <- c.sleeps + 1
         end
         else begin
-          let succ_sleep =
-            if not reduce.commute then 0
-            else
-              List.fold_left
-                (fun m q ->
-                  if !asleep land (1 lsl q) <> 0 && indep cfg q pid then m lor (1 lsl q)
-                  else m)
-                0 running
-          in
+          let succ_sleep = if reduce.commute then still_asleep cfg n !asleep pid else 0 in
           let cfg' = M.step cfg pid in
           go cfg' (d - 1) (pid :: path) succ_sleep (obs_step obs cfg pid cfg');
           asleep := !asleep lor bit
-        end)
-      running
+        end
+      end
+    done
 
   (* Crash–recover branches: one child per crashable process while the run's
      crash budget allows.  Crashes are kept out of the sleep-set machinery —
@@ -503,7 +482,7 @@ module Run (P : Consensus.Proto.S) = struct
      revisit, or — on a [Partial] revisit — explore only the transitions no
      adequate prior pass stepped.  Crash branches are never slept, so the
      prior pass that covers this depth already explored all of them. *)
-  let memo ~table ~fpw ~stop ~reduce ~indep ~go ~visit c cfg d path sleep obs =
+  let memo ~table ~fpw ~stop ~reduce ~go ~visit c cfg d path sleep obs =
     let a, b = fpw cfg and h = Observer.Run.digest obs in
     match Transposition.plan table (key_a h a) (key_b h b) ~depth:d ~sleep with
     | Transposition.Hit -> c.hits <- c.hits + 1
@@ -512,7 +491,7 @@ module Run (P : Consensus.Proto.S) = struct
       c.hits <- c.hits + 1;
       if stop () then raise Stop;
       if d > 0 && M.running_count cfg > 0 then
-        children ~reduce ~indep ~go c cfg d path sleep obs inter
+        children ~reduce ~go c cfg d path sleep obs inter
 
   (* The DFS core all engines share.  [stop] aborts cooperatively (parallel
      mode); [path] seeds the schedule of every witness found below [cfg].
@@ -528,13 +507,13 @@ module Run (P : Consensus.Proto.S) = struct
      transitions are explored, and the per-configuration work (counting,
      checking, probing) is skipped: it ran when the configuration was first
      visited, and depends only on the configuration. *)
-  let dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~indep ~stop ~obs c cfg
-      depth path =
+  let dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~stop ~obs c cfg depth
+      path =
     let rec go cfg d path sleep obs =
       match table with
       | None -> visit cfg d path sleep obs
       | Some table ->
-        memo ~table ~fpw ~stop ~reduce ~indep ~go ~visit c cfg d path sleep obs
+        memo ~table ~fpw ~stop ~reduce ~go ~visit c cfg d path sleep obs
     and visit cfg d path sleep obs =
       if stop () then raise Stop;
       c.configs <- c.configs + 1;
@@ -546,7 +525,7 @@ module Run (P : Consensus.Proto.S) = struct
           (match probe with `Never -> false | `Leaves -> at_bound | `Everywhere -> true)
           && Observer.Run.wants_probes obs
         then List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) (M.running cfg);
-        if not at_bound then children ~reduce ~indep ~go c cfg d path sleep obs (-1)
+        if not at_bound then children ~reduce ~go c cfg d path sleep obs (-1)
       end;
       if at_bound then begin
         if crash_truncated ~crash_budget cfg then c.truncated <- true
@@ -650,7 +629,6 @@ module Run (P : Consensus.Proto.S) = struct
     let worker_counters = ref [] in
     let worker () =
       let wc = fresh () in
-      let indep = make_independent () in
       (* the deadline stops a worker exactly like a sibling's violation does;
          [timed] remembers which of the two it was *)
       let stop () =
@@ -665,8 +643,7 @@ module Run (P : Consensus.Proto.S) = struct
       let item i =
         let path, cfg, obs = items.(i) in
         match
-          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~indep ~stop ~obs wc
-            cfg d path
+          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~stop ~obs wc cfg d path
         with
         | () -> ()
         | exception Violation w ->
@@ -753,13 +730,11 @@ module Run (P : Consensus.Proto.S) = struct
         else raise Invalid_schedule
       end
       else begin
-        if code >= n then raise Invalid_schedule;
-        match M.poised cfg code with
-        | Some (_ :: _) -> M.step cfg code
-        | Some [] | None -> raise Invalid_schedule
+        if code >= n || not (is_running cfg code) then raise Invalid_schedule;
+        M.step cfg code
       end
     in
-    let probeable cfg pid = pid >= 0 && pid < n && List.mem pid (M.running cfg) in
+    let probeable cfg pid = pid >= 0 && pid < n && is_running cfg pid in
     let root = root_config ~record_trace ~inputs in
     let violation o =
       match Observer.Run.verdict o with
@@ -866,11 +841,10 @@ module Run (P : Consensus.Proto.S) = struct
      behaviour, hence equal decidable-value contributions. *)
   let decidable ~reduce ~crash_budget ~solo_fuel ~inputs ~stop ~obs c cfg depth =
     let fpw = fingerprint_words_fn ~reduce ~inputs in
-    let indep = make_independent () in
     let table = Transposition.create ~concurrent:false () in
     let seen = Hashtbl.create 7 in
     let rec go cfg d path sleep obs =
-      memo ~table ~fpw ~stop ~reduce ~indep ~go ~visit c cfg d path sleep obs
+      memo ~table ~fpw ~stop ~reduce ~go ~visit c cfg d path sleep obs
     and visit cfg d path sleep obs =
       if stop () then raise Stop;
       c.configs <- c.configs + 1;
@@ -903,7 +877,7 @@ module Run (P : Consensus.Proto.S) = struct
           running;
         if Observer.Run.wants_probes obs then
           List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
-        if d > 0 then children ~reduce ~indep ~go c cfg d path sleep obs (-1)
+        if d > 0 then children ~reduce ~go c cfg d path sleep obs (-1)
     in
     go cfg depth [] 0 obs;
     List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
@@ -938,12 +912,12 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
     try
       (match engine with
        | `Naive ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~table:None ~fpw
-           ~indep:(R.make_independent ()) ~stop:past ~obs c root depth []
+         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~table:None ~fpw ~stop:past
+           ~obs c root depth []
        | `Memo ->
          R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel
-           ~table:(Some (Transposition.create ~concurrent:false ())) ~fpw
-           ~indep:(R.make_independent ()) ~stop:past ~obs c root depth []
+           ~table:(Some (Transposition.create ~concurrent:false ()))
+           ~fpw ~stop:past ~obs c root depth []
        | `Parallel k ->
          R.parallel ~reduce ~crash_budget:crashes ~domains:k ~probe ~solo_fuel ~inputs
            ~past ~obs c root depth);
@@ -967,6 +941,7 @@ type replay_report = {
 
 let replay ?(solo_fuel = 100_000) ?(observers = []) (module P : Consensus.Proto.S)
     ~inputs w =
+  process_gate "replay" ~inputs;
   let module R = Run (P) in
   let observers = observers_or_defaults observers in
   match R.replay ~observers ~record_trace:true ~solo_fuel ~inputs w with

@@ -53,7 +53,12 @@ type reduction = {
           decidable-value sets are preserved for {e every} protocol.
           Composes with any engine; under [`Memo]/[`Parallel] the
           transposition-table entries carry the sleep set they were explored
-          from and a revisit is only pruned when covered. *)
+          from and a revisit is only pruned when covered.  Under
+          [`Parallel] it can currently leave reachable configurations
+          unvisited and still report [Completed]: a [Partial] revisit may
+          put to sleep a pid whose subtree another worker's unfinished pass
+          left for it, so parallel commute counts vary between runs and
+          fall below [`Memo]'s. *)
   symmetric : bool;
       (** Process-symmetry reduction: key the transposition table on
           {!Model.Machine.Make.canonical_fingerprint}, conflating
@@ -98,6 +103,12 @@ exception Observer_unsafe_reduction of { observer : string; reduction : string }
     observer declares unsound for itself ({!Observer.S.commute_safe},
     {!Observer.S.symmetric_safe}) — e.g. {!Observer.lockout} under either
     reduction.  Suppressed by [~force:true] (unsound — for experiments). *)
+
+val max_processes : int
+(** [Sys.int_size] (63 on 64-bit hosts): the most processes {!run},
+    {!decidable_values}, {!deepen} and {!replay} accept.  The sibling loop
+    and {!Observer.agreement}'s decision holders keep pid sets as int
+    bitmasks, one bit per pid. *)
 
 val kind_name : string -> string
 (** The identity: a witness kind is already its name. *)
@@ -219,10 +230,11 @@ val run :
     still raises the same violation kind).
 
     [solo_fuel] defaults to [100_000]; a fuel below 1, like a negative
-    [crashes], raises [Invalid_argument] before anything runs.  So does
-    input the transposition table's packed claims cannot hold: a [depth]
-    outside [0 .. Transposition.max_depth], or [reduce.commute] with more
-    than [Transposition.max_sleep_pids] processes.
+    [crashes], raises [Invalid_argument] before anything runs.  So do more
+    than {!max_processes} processes, and input the transposition table's
+    packed claims cannot hold: a [depth] outside
+    [0 .. Transposition.max_depth], or [reduce.commute] with more than
+    [Transposition.max_sleep_pids] processes.
 
     [observers] is the property checked ([[]], the default, means
     {!Observer.defaults}): the monitors are advanced inline over every
@@ -282,7 +294,8 @@ val replay :
     names a process that cannot step, or if the witness's [probe] names a
     process that is not running once the schedule has been executed — a
     decided or finished process cannot be probed (only possible for
-    hand-edited witnesses; engine-reported witnesses always replay). *)
+    hand-edited witnesses; engine-reported witnesses always replay).
+    More than {!max_processes} processes raise [Invalid_argument]. *)
 
 val decidable_values :
   ?solo_fuel:int ->

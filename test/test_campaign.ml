@@ -415,13 +415,19 @@ let test_spec_refuses_out_of_range () =
   expect "depth -1" false { spec with depths = [ -1 ] };
   expect "depth past the table" false { spec with depths = [ Transposition.max_depth + 1 ] };
   expect "commute over 40 processes" false { spec with ns = [ 40 ]; reduces = [ commute ] };
+  expect "a check past the pid mask" false
+    { spec with ns = [ Explore.max_processes + 1 ] };
   expect "negative crash budget" false { spec with crashes = -1 };
   expect "solo fuel 0" false { spec with solo_fuel = 0 };
   (* the limits themselves, and what they do not apply to, still expand *)
   expect "commute over 31 processes" true { spec with ns = [ 31 ]; reduces = [ commute ] };
   expect "40 processes without commute" true { spec with ns = [ 40 ] };
+  expect "a check at the pid mask's width" true
+    { spec with ns = [ Explore.max_processes ] };
   expect "stress only: the reductions are unused" true
     { spec with ns = [ 40 ]; depths = []; reduces = [ commute ]; stress_seeds = [ 1 ] };
+  expect "stress only: no pid mask" true
+    { spec with ns = [ Explore.max_processes + 1 ]; depths = []; stress_seeds = [ 1 ] };
   expect "depth 0" true { spec with depths = [ 0 ] }
 
 (* --- store ------------------------------------------------------------- *)

@@ -542,20 +542,32 @@ let symmetric_cases =
     ("tug-of-war mixed", Consensus.Tugofwar_protocol.binary, [| 0; 1; 1 |], 6);
   ]
 
+let recoverable =
+  match Observer.of_names [ "recoverable-agreement"; "recoverable-validity" ] with
+  | Ok set -> set
+  | Error e -> failwith e
+
 (* commute is sound for pid-dependent protocols too — including broken ones,
-   where the violation must survive the pruning *)
+   where the violation must survive the pruning — for multi-assignment
+   steps (earliest-writer), and under a crash budget: (name, protocol,
+   inputs, depth, crashes, observers) *)
 let commute_only_cases =
   [
-    ("rw", Consensus.Rw_protocol.protocol, [| 0; 1 |], 7);
-    ("swap", Consensus.Swap_protocol.protocol, [| 0; 1 |], 7);
-    ("disagree", broken_disagree, [| 0; 1 |], 3);
-    ("invalid", broken_invalid, [| 0; 1 |], 3);
+    ("rw", Consensus.Rw_protocol.protocol, [| 0; 1 |], 7, 0, []);
+    ("swap", Consensus.Swap_protocol.protocol, [| 0; 1 |], 7, 0, []);
+    ("disagree", broken_disagree, [| 0; 1 |], 3, 0, []);
+    ("invalid", broken_invalid, [| 0; 1 |], 3, 0, []);
+    ("earliest-writer", Consensus.Assignment_protocol.earliest_writer, [| 0; 1; 2 |], 7, 0, []);
+    ("rc-cas crashes=2", Recovery.cas_durable, [| 0; 1 |], 7, 2, recoverable);
+    ("rc-tas-naive crashes=1", Recovery.tas_naive, [| 0; 1 |], 8, 1, recoverable);
   ]
 
 let test_reduce_differential () =
-  let verdict ?(reduce = Explore.no_reduction) engine proto inputs depth =
+  let verdict ?(reduce = Explore.no_reduction) ?crashes ?observers engine proto inputs
+      depth =
     outcome_class
-      (Explore.run ~probe:`Everywhere ~engine ~reduce proto ~inputs ~depth)
+      (Explore.run ~probe:`Everywhere ~engine ~reduce ?crashes ?observers proto ~inputs
+         ~depth)
   in
   List.iter
     (fun (name, proto, inputs, depth) ->
@@ -572,15 +584,15 @@ let test_reduce_differential () =
         reductions)
     symmetric_cases;
   List.iter
-    (fun (name, proto, inputs, depth) ->
-      let reference = verdict `Naive proto inputs depth in
+    (fun (name, proto, inputs, depth, crashes, observers) ->
+      let reference = verdict ~crashes ~observers `Naive proto inputs depth in
       let reduce = { Explore.commute = true; symmetric = false } in
       List.iter
         (fun (ename, engine) ->
           Alcotest.(check string)
             (Printf.sprintf "%s: %s/commute vs plain naive" name ename)
             reference
-            (verdict ~reduce engine proto inputs depth))
+            (verdict ~reduce ~crashes ~observers engine proto inputs depth))
         engines)
     commute_only_cases
 
@@ -722,6 +734,72 @@ let test_solo_fuel_positive () =
     [ 0; -1 ];
   ignore (ok_stats (Explore.run ~solo_fuel:1 Consensus.Cas_protocol.protocol ~inputs ~depth:2))
 
+(* 21. The sleep-set filter's counts, pinned: commute memo runs on inputs
+   0..n-1 must reproduce every configuration, dedup hit and slept
+   transition, from single-access rows, the multi-assignment
+   earliest-writer (probed everywhere) and rc-cas under a crash budget. *)
+let test_sleep_counts_pinned () =
+  let commute = { Explore.commute = true; symmetric = false } in
+  let row id =
+    match Hierarchy.find id with
+    | Some r -> r.protocol
+    | None -> Alcotest.failf "row %s missing" id
+  in
+  let pinned name ?(probe = `Never) ?crashes ?observers proto ~n ~depth want =
+    let s =
+      ok_stats
+        (Explore.run ~engine:`Memo ~probe ~reduce:commute ?crashes ?observers proto
+           ~inputs:(Array.init n Fun.id) ~depth)
+    in
+    Alcotest.(check (triple int int int))
+      (name ^ ": configs, dedup hits, sleep-pruned")
+      want
+      (s.configs, s.dedup_hits, s.sleep_pruned)
+  in
+  pinned "rw n=4 d=12" (row "rw") ~n:4 ~depth:12 (20_206, 0, 25_035);
+  pinned "max-register n=4 d=12" (row "max-register") ~n:4 ~depth:12 (22_394, 8_276, 27_833);
+  pinned "add n=4 d=8" (row "add") ~n:4 ~depth:8 (13_841, 76, 3_540);
+  pinned "buffer-2 n=4 d=10" (row "buffer-2") ~n:4 ~depth:10 (9_356, 0, 8_053);
+  pinned "rc-cas n=3 d=10 crashes=2" (row "rc-cas") ~n:3 ~depth:10 ~crashes:2
+    ~observers:recoverable (4_565, 5_260, 1_953);
+  pinned "earliest-writer n=3 d=7" ~probe:`Everywhere
+    Consensus.Assignment_protocol.earliest_writer ~n:3 ~depth:7 (707, 0, 425)
+
+(* 22. Pid sets are int bitmasks, so a run takes at most
+   [Explore.max_processes] processes.  At the cap every pid still steps:
+   depth 1 visits the root and one child per process, none of them slept.
+   One more is refused by every entry point before anything runs. *)
+let test_process_cap () =
+  let proto = Consensus.Cas_protocol.protocol in
+  let n = Explore.max_processes in
+  let inputs = Array.init n (fun pid -> pid mod 2) in
+  List.iter
+    (fun (ename, engine) ->
+      let s = ok_stats (Explore.run ~engine ~probe:`Never proto ~inputs ~depth:1) in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%s at n = %d: configs, sleep-pruned" ename n)
+        (n + 1, 0)
+        (s.configs, s.sleep_pruned))
+    engines;
+  let wide = Array.make (n + 1) 0 in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: %d processes accepted" what (n + 1)
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (ename, engine) ->
+      refused ("run " ^ ename) (fun () ->
+          Explore.run ~engine ~probe:`Never proto ~inputs:wide ~depth:1))
+    engines;
+  refused "decidable_values" (fun () ->
+      Explore.decidable_values proto ~inputs:wide ~depth:1);
+  refused "deepen" (fun () -> Explore.deepen proto ~inputs:wide ~max_depth:1);
+  refused "replay" (fun () ->
+      Explore.replay proto ~inputs:wide
+        { Explore.kind = "agreement"; message = "agreement:"; schedule = [ 0 ];
+          probe = None })
+
 let () =
   Alcotest.run "modelcheck"
     [
@@ -732,6 +810,7 @@ let () =
           Alcotest.test_case "three processes" `Quick test_three_process_exploration;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
           Alcotest.test_case "solo fuel must be positive" `Quick test_solo_fuel_positive;
+          Alcotest.test_case "process cap at the word size" `Quick test_process_cap;
         ] );
       ( "bivalence",
         [
@@ -773,6 +852,7 @@ let () =
             test_reduce_decidable_values;
           Alcotest.test_case "reduction effectiveness" `Quick test_reduce_effectiveness;
           Alcotest.test_case "failures carry stats" `Quick test_failure_reports_stats;
+          Alcotest.test_case "sleep-set counts pinned" `Quick test_sleep_counts_pinned;
         ] );
       ( "deadlines",
         [

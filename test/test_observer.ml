@@ -375,8 +375,8 @@ let test_observer_witness_replays () =
    holding a value other than the lowest pid's, whatever the order the
    decisions were made in.  Recoverable agreement still sees the flip. *)
 let test_agreement_held_decisions () =
-  let verdict set events =
-    let o = Observer.Run.make set ~n:3 ~inputs:[| 0; 1; 2 |] in
+  let verdict ?(n = 3) set events =
+    let o = Observer.Run.make set ~n ~inputs:(Array.init n Fun.id) in
     Observer.Run.verdict (List.fold_left (fun o f -> f o) o events)
   in
   let decide pid value o = Observer.Run.decide o ~pid ~value in
@@ -396,7 +396,14 @@ let test_agreement_held_decisions () =
     (message (verdict [ Observer.agreement ] [ decide 0 1; crash 1; decide 1 0 ]));
   Alcotest.(check bool) "recoverable agreement remembers it" true
     (verdict [ Observer.recoverable_agreement ] [ decide 0 1; crash 0; decide 1 0 ]
-    <> None)
+    <> None);
+  (* the holders are a bitmask: the highest pid a run may have holds a bit *)
+  let top = Explore.max_processes - 1 in
+  Alcotest.(check string) "the highest pid holds its decision"
+    (Printf.sprintf "agreement: process %d decided 0 but 1 was also decided" top)
+    (message
+       (verdict ~n:Explore.max_processes [ Observer.agreement ]
+          [ decide top 0; decide 0 1 ]))
 
 (* 9. [Run] allocates nothing for an event no member reacts to, and reads
    its cached digest and verdict for free — the engines do all three at
